@@ -5,8 +5,9 @@
 // constructs the tee — so the guard measures the real cost of that
 // sink-selection branch, scales it by a generous over-estimate of
 // selections per run, and asserts the bound stays under 2% of a measured
-// run time. The enabled path (tee + LiveMetrics per record) is measured
-// and reported for reference but is not part of the disabled contract.
+// run time. The enabled path (tee + LiveTimelineView per record) is
+// measured and reported for reference but is not part of the disabled
+// contract.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,8 +18,6 @@
 #include <vector>
 
 #include "core/hlsprof.hpp"
-#include "live/metrics.hpp"
-#include "live/reporter.hpp"
 #include "live/timeline.hpp"
 #include "trace/streaming.hpp"
 #include "workloads/simple.hpp"
@@ -96,12 +95,13 @@ void check_disabled_overhead() {
                  overhead * 100.0);
     std::exit(1);
   }
-  // Reference only: what attaching the cheapest real observer costs.
-  live::LiveMetrics metrics(4, 0);
-  const double live_run_s = sim_run_seconds(&metrics);
+  // Reference only: what attaching the live timeline costs (no output
+  // stream, so it accounts every record but never renders).
+  live::LiveTimelineView view(4);
+  const double live_run_s = sim_run_seconds(&view);
   std::printf(
-      "live enabled-path reference: run %.3f ms with LiveMetrics attached "
-      "(%+.1f%% vs disabled)\n",
+      "live enabled-path reference: run %.3f ms with LiveTimelineView "
+      "attached (%+.1f%% vs disabled)\n",
       live_run_s * 1e3, (live_run_s / run_s - 1.0) * 100.0);
 }
 
@@ -115,32 +115,6 @@ trace::StateRecord make_state(int threads, std::uint32_t clock) {
   }
   return r;
 }
-
-void BM_live_metrics_on_state(benchmark::State& state) {
-  live::LiveMetrics m(8, 1024);
-  cycle_t t = 0;
-  for (auto _ : state) {
-    m.on_state(make_state(8, std::uint32_t(t)), t);
-    t += 16;
-  }
-  benchmark::DoNotOptimize(m.last_clock());
-}
-BENCHMARK(BM_live_metrics_on_state);
-
-void BM_live_metrics_on_event(benchmark::State& state) {
-  live::LiveMetrics m(8, 1024);
-  trace::EventRecord e;
-  e.kind = trace::EventKind::bytes_read;
-  e.value = 64;
-  cycle_t t = 0;
-  for (auto _ : state) {
-    e.clock32 = std::uint32_t(t);
-    m.on_event(e, t);
-    t += 16;
-  }
-  benchmark::DoNotOptimize(m.event_records());
-}
-BENCHMARK(BM_live_metrics_on_event);
 
 void BM_live_timeline_on_state(benchmark::State& state) {
   live::LiveTimelineView view(8);  // null output: never auto-renders
@@ -162,33 +136,6 @@ void BM_tee_dispatch(benchmark::State& state) {
   for (auto _ : state) tee.on_state(r, ++t);
 }
 BENCHMARK(BM_tee_dispatch);
-
-void BM_format_live_line(benchmark::State& state) {
-  live::LiveLine l;
-  l.jobs_done = 3;
-  l.jobs_total = 16;
-  l.cycles = 123456789;
-  l.thread_cycles = 987654312;
-  l.running = 0.75;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(live::format_live_line(l));
-  }
-}
-BENCHMARK(BM_format_live_line);
-
-void BM_parse_live_line(benchmark::State& state) {
-  live::LiveLine l;
-  l.jobs_done = 3;
-  l.jobs_total = 16;
-  l.cycles = 123456789;
-  l.running = 0.75;
-  const std::string line = live::format_live_line(l);
-  live::LiveLine out;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(live::parse_live_line(line, &out));
-  }
-}
-BENCHMARK(BM_parse_live_line);
 
 }  // namespace
 

@@ -292,7 +292,7 @@ class JsonParser {
   }
 
   char peek() const {
-    if (pos_ >= text_.size()) fail("json: unexpected end of input");
+    if (pos_ >= text_.size()) err("unexpected end of input");
     return text_[pos_];
   }
 

@@ -52,12 +52,11 @@ struct RunOptions {
   bool enable_profiling = true;
   std::size_t mem_capacity = std::size_t{64} << 20;
   /// Optional live observer of the decoded record stream (e.g.
-  /// live::LiveMetrics / live::LiveTimelineView). When set, every record
-  /// is teed to it *after* the canonical TimedTraceBuilder sees it, so
-  /// the timeline — and therefore report and Paraver bytes — is
-  /// unchanged whether a sink is attached or not. Null (the default)
-  /// costs a single branch per run. Must outlive run(); ignored when
-  /// profiling is disabled.
+  /// live::LiveTimelineView). When set, every record is teed to it
+  /// *after* the canonical TimedTraceBuilder sees it, so the timeline —
+  /// and therefore report and Paraver bytes — is unchanged whether a
+  /// sink is attached or not. Null (the default) costs a single branch
+  /// per run. Must outlive run(); ignored when profiling is disabled.
   trace::RecordSink* live_sink = nullptr;
 };
 

@@ -1,34 +1,31 @@
-// Batch- and fleet-level live reporting built on LiveMetrics /
-// LiveTimelineView:
+// Batch- and fleet-level live reporting, folded from the per-job
+// progress event (runner/progress.hpp):
 //
-//  * BatchLiveReporter — a runner::JobTraceObserver that attaches a
-//    LiveMetrics to every job of a batch, folds finished jobs into
-//    running totals, and surfaces them two ways: a human display on a
-//    TTY (the live timeline for the job currently holding the display
-//    slot, or a one-line metrics ticker), and machine-readable
-//    `##hlsprof-live` lines on a stream (the channel the shard
-//    coordinator aggregates, exactly like `##hlsprof-job` progress
-//    lines).
-//  * FleetView — the coordinator-side aggregator: one lane per shard
-//    plus a merged fleet total, redrawn in place on a TTY or emitted as
-//    throttled plain lines otherwise.
+//  * BatchLiveReporter — folds every finished job of a batch into
+//    integer LiveTotals (fed from runner::BatchOptions::on_job_done) and
+//    shows them on a TTY: the live timeline of the job holding the
+//    display slot (a runner::JobTraceObserver attaching a
+//    LiveTimelineView), or a one-line totals ticker.
+//  * FleetView — the coordinator-side aggregator: one LiveTotals lane
+//    per shard plus the merged fleet total, redrawn in place on a TTY.
 //
 // Everything here is an *observer* of the canonical pipeline: reports,
 // Paraver traces, and exit codes are byte-identical with live reporting
 // on or off.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "live/metrics.hpp"
 #include "live/timeline.hpp"
 #include "runner/batch.hpp"
+#include "runner/progress.hpp"
 
 namespace hlsprof::live {
 
@@ -38,36 +35,29 @@ enum class LiveMode { off, state, metrics };
 bool parse_live_mode(const std::string& s, LiveMode* out);
 const char* live_mode_name(LiveMode m);
 
-/// One machine-readable live totals line (the `##hlsprof-live` channel).
-/// Fractions are aggregate state shares weighted by thread-cycles;
-/// `cycles` sums per-job timeline durations, `thread_cycles` sums
-/// duration*threads (the exact denominators, so merging lines from
-/// several shards loses nothing).
-struct LiveLine {
+/// Run totals folded from progress events. Every event counts as done;
+/// only ok jobs add cycles, state cycles and bytes. All members are exact
+/// integers and the shares are derived on demand, so totals from several
+/// processes merge without loss (+=).
+struct LiveTotals {
   std::size_t jobs_done = 0;
   std::size_t jobs_total = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t thread_cycles = 0;
-  double idle = 0.0;
-  double running = 0.0;
-  double critical = 0.0;
-  double spinning = 0.0;
-  double bw = 0.0;  // mean bytes/cycle over finished jobs
+  std::uint64_t cycles = 0;         // summed timeline durations
+  std::uint64_t thread_cycles = 0;  // summed duration * threads
+  std::array<std::uint64_t, 4> state_cycles{};  // per sim::ThreadState
+  std::uint64_t bytes = 0;          // DRAM bytes read + written
+
+  void add(const runner::ProgressEvent& e);
+  LiveTotals& operator+=(const LiveTotals& o);
+
+  /// Aggregate share of thread-cycles spent in sim::ThreadState `s`.
+  double share(int s) const;
+  /// Mean DRAM bytes/cycle over the finished jobs.
+  double bandwidth() const;
 };
 
-inline constexpr const char* kLivePrefix = "##hlsprof-live ";
-
-std::string format_live_line(const LiveLine& l);
-/// Returns false (leaving *out untouched) unless `line` starts with
-/// kLivePrefix and every field parses.
-bool parse_live_line(const std::string& line, LiveLine* out);
-
 /// One-line human rendition ("jobs 3/16  cycles 123456  idle 12.5% ...").
-std::string format_live_summary(const LiveLine& l);
-
-/// Merge per-shard lines into fleet totals (thread-cycle-weighted
-/// fractions, cycle-weighted bandwidth).
-LiveLine merge_live_lines(const std::vector<LiveLine>& lines);
+std::string format_live_summary(const LiveTotals& t);
 
 struct ReporterOptions {
   LiveMode mode = LiveMode::off;  // what the human display shows
@@ -75,79 +65,72 @@ struct ReporterOptions {
   /// display. The timeline/ticker is drawn in place with ANSI escapes.
   std::FILE* display = nullptr;
   bool color = false;
-  /// Machine `##hlsprof-live` line stream (normally stdout under
-  /// --live-lines); one line per finished job. Null = off.
-  std::FILE* line_out = nullptr;
   std::size_t jobs_total = 0;
   double refresh_hz = 10.0;
   int timeline_width = 72;
 };
 
-/// Thread-safe: begin_job/end_job arrive concurrently from batch worker
-/// threads. Record callbacks themselves stay lock-free on the worker —
-/// only job boundaries and display updates take the reporter lock.
+/// Thread-safe: begin_job/end_job/on_job_done arrive concurrently from
+/// batch worker threads.
 class BatchLiveReporter final : public runner::JobTraceObserver {
  public:
   explicit BatchLiveReporter(ReporterOptions opts);
   ~BatchLiveReporter() override;
 
+  /// In state mode with a display, the first job to find the display
+  /// slot free gets a LiveTimelineView; every other job (and every job in
+  /// any other mode) gets null, so no records are teed for it.
   trace::RecordSink* begin_job(int index, const std::string& name,
-                               int num_threads,
-                               cycle_t sampling_period) override;
-  void end_job(int index, trace::RecordSink* sink, cycle_t run_end,
-               bool ok) override;
+                               int num_threads) override;
+  void end_job(int index) override;
 
-  /// Current merged totals over finished jobs.
-  LiveLine totals() const;
+  /// Fold one finished job into the totals (BatchOptions::on_job_done).
+  void on_job_done(const runner::JobResult& job);
+
+  LiveTotals totals() const;
 
   /// Terminate the display (newline after an in-place ticker). Call once
   /// after the batch run returns.
   void finish();
 
  private:
-  struct JobSink;
-
   ReporterOptions opts_;
   mutable std::mutex mu_;
-  std::map<int, std::unique_ptr<JobSink>> active_;
+  std::unique_ptr<LiveTimelineView> view_;
   int display_owner_ = -1;  // job index holding the timeline slot
-  LiveLine done_;
-  std::array<std::uint64_t, 4> state_cycles_{};
-  std::uint64_t bytes_ = 0;
+  LiveTotals totals_;
   bool ticker_drawn_ = false;
   bool finished_ = false;
 };
 
 struct FleetOptions {
-  std::FILE* display = nullptr;  // human stream; null = silent
-  /// True when `display` is a TTY: redraw the per-shard frame in place.
-  /// False: emit throttled plain merged-summary lines instead.
-  bool in_place = false;
+  /// TTY stream the per-shard frame is redrawn on in place; null = silent.
+  std::FILE* display = nullptr;
   double refresh_hz = 10.0;
 };
 
-/// Coordinator-side aggregation of per-shard `##hlsprof-live` lines.
-/// update() is thread-safe (shard reader threads call it directly).
+/// Coordinator-side aggregation of per-shard progress events. Not
+/// thread-safe: the shard coordinator calls update() from its own thread
+/// (runner::ShardOptions::on_job_event), once per job index.
 class FleetView {
  public:
   FleetView(int num_shards, FleetOptions opts);
 
-  /// Record shard `shard`'s latest totals line and (throttled) redraw.
-  void update(int shard, const LiveLine& line);
+  /// Fold one of shard `shard`'s events into its lane and (throttled)
+  /// redraw.
+  void update(int shard, const runner::ProgressEvent& e);
 
-  LiveLine merged() const;
+  LiveTotals merged() const;
   /// Per-shard lanes plus the fleet total, as plain lines (tests).
   std::string render_frame() const;
   /// Final redraw + release of the in-place frame.
   void finish();
 
  private:
-  void render_locked();
+  void render();
 
   FleetOptions opts_;
-  mutable std::mutex mu_;
-  std::vector<LiveLine> shards_;
-  std::vector<bool> seen_;
+  std::vector<LiveTotals> lanes_;
   int prev_frame_lines_ = 0;
   bool finished_ = false;
   std::chrono::steady_clock::time_point last_render_{};

@@ -39,11 +39,30 @@ void fill_metrics(JobResult& out, const core::Session& session,
 
   out.has_trace = r.has_trace;
   if (r.has_trace) {
-    const auto st = paraver::summarize_states(r.timeline);
-    out.state_idle = st.idle;
-    out.state_running = st.running;
-    out.state_critical = st.critical;
-    out.state_spinning = st.spinning;
+    // One pass over the intervals yields the exact per-state sums; the
+    // report shares divide them exactly as TimedTrace::state_fraction
+    // does, so report bytes equal paraver::summarize_states'.
+    const trace::TimedTrace& t = r.timeline;
+    for (const auto& lane : t.thread_states) {
+      for (const trace::StateInterval& iv : lane) {
+        out.state_cycles[std::size_t(iv.state)] += iv.end - iv.begin;
+      }
+    }
+    for (const trace::EventSample& e : t.events) {
+      if (e.kind == trace::EventKind::bytes_read ||
+          e.kind == trace::EventKind::bytes_written) {
+        out.trace_mem_bytes += e.value;
+      }
+    }
+    out.timeline_cycles = t.duration;
+    const auto share = [&t](cycle_t cycles) {
+      if (t.duration == 0 || t.num_threads == 0) return 0.0;
+      return double(cycles) / (double(t.duration) * double(t.num_threads));
+    };
+    out.state_idle = share(out.state_cycles[0]);
+    out.state_running = share(out.state_cycles[1]);
+    out.state_critical = share(out.state_cycles[2]);
+    out.state_spinning = share(out.state_cycles[3]);
     out.state_records = r.state_records;
     out.event_records = r.event_records;
     out.flush_bursts = r.flush_bursts;
@@ -63,9 +82,7 @@ JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
   out.index = index;
   out.name = spec.name;
   out.seed = seed;
-  trace::RecordSink* live = nullptr;
   bool observed = false;
-  cycle_t observed_end = 0;
   const auto t0 = Clock::now();
   try {
     HLSPROF_CHECK(spec.kernel != nullptr, "JobSpec '" + spec.name +
@@ -81,18 +98,15 @@ JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
     core::RunOptions opts = spec.run;
     if (spec.max_cycles != 0) opts.sim.max_cycles = spec.max_cycles;
     if (observer != nullptr) {
-      live = observer->begin_job(index, spec.name,
-                                 entry.design->kernel.num_threads,
-                                 opts.profiling.sampling_period);
+      opts.live_sink = observer->begin_job(index, spec.name,
+                                           entry.design->kernel.num_threads);
       observed = true;
-      opts.live_sink = live;
     }
 
     core::Session session(entry.design, opts);
     HostBuffers buffers;
     if (spec.bind) spec.bind(session, buffers, rng);
     const core::RunResult r = session.run();
-    observed_end = r.timeline.duration;
     fill_metrics(out, session, r);
     if (spec.check) spec.check(r, buffers);
     out.status = JobStatus::ok;
@@ -109,10 +123,7 @@ JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
     out.status = JobStatus::timed_out;
     out.error = "exceeded soft wall-clock budget";
   }
-  if (observed) {
-    observer->end_job(index, live, observed_end,
-                      out.status == JobStatus::ok);
-  }
+  if (observed) observer->end_job(index);
   if (reg.enabled()) {
     reg.counter("runner.jobs").add(1);
     if (out.status != JobStatus::ok) reg.counter("runner.jobs_failed").add(1);

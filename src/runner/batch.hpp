@@ -16,24 +16,22 @@
 
 namespace hlsprof::runner {
 
-/// Observer of each job's decoded trace stream, for live progress /
-/// metrics reporting (src/live). begin_job runs on the worker thread
-/// right after the design is resolved (so the observer knows the thread
-/// count and sampling period); the returned sink — null to observe
-/// nothing for this job — receives that job's records via
-/// core::RunOptions::live_sink; end_job runs on the same worker thread
-/// after the run (run_end = the timeline duration on success, 0 on
-/// failure). Calls for different jobs arrive concurrently from different
-/// workers; the observer locks its own shared state. Canonical report
-/// bytes are identical with or without an observer.
+/// Observer of each job's decoded trace stream, for the live timeline
+/// display (src/live). begin_job runs on the worker thread right after
+/// the design is resolved (so the observer knows the thread count); the
+/// returned sink — null to observe nothing for this job — receives that
+/// job's records via core::RunOptions::live_sink; end_job runs on the
+/// same worker thread after the run. Calls for different jobs arrive
+/// concurrently from different workers; the observer locks its own
+/// shared state. Canonical report bytes are identical with or without an
+/// observer. Per-job totals do not need an observer: they arrive with the
+/// JobResult through on_job_done.
 class JobTraceObserver {
  public:
   virtual ~JobTraceObserver() = default;
   virtual trace::RecordSink* begin_job(int index, const std::string& name,
-                                       int num_threads,
-                                       cycle_t sampling_period) = 0;
-  virtual void end_job(int index, trace::RecordSink* sink, cycle_t run_end,
-                       bool ok) = 0;
+                                       int num_threads) = 0;
+  virtual void end_job(int index) = 0;
 };
 
 struct BatchOptions {
@@ -70,7 +68,7 @@ struct BatchOptions {
   std::vector<int> select;
   /// Called once per finished job, from the worker thread that ran it
   /// (concurrently across jobs — the callback must lock its own state).
-  /// Drives live progress reporting; null = off.
+  /// Drives progress events and live totals; null = off.
   std::function<void(const JobResult&)> on_job_done;
   /// Live trace observer (see JobTraceObserver); null = off.
   JobTraceObserver* observer = nullptr;

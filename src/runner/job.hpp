@@ -5,6 +5,7 @@
 // record the JSON/CSV layer serializes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -144,6 +145,14 @@ struct JobResult {
   std::uint64_t peak_trace_buffer_bytes = 0;
   double overhead_alm_pct = 0.0;
   double overhead_register_pct = 0.0;
+
+  // Exact trace totals behind the per-job progress event (progress.hpp);
+  // never written to reports. Timeline duration, cycles all threads spent
+  // per sim::ThreadState (idle, running, critical, spinning), and DRAM
+  // bytes read + written per the trace's bytes_read/bytes_written events.
+  cycle_t timeline_cycles = 0;
+  std::array<cycle_t, 4> state_cycles{};
+  std::uint64_t trace_mem_bytes = 0;
 };
 
 }  // namespace hlsprof::runner

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -53,6 +54,12 @@ const std::vector<std::string> kIntKeys = {
     "dim", "threads", "block", "vector_len", "steps", "unroll", "n",
     "sampling_period", "buffer_lines", "workers", "seed",
     "thread_start_interval", "max_cycles", "cache_max_bytes"};
+
+// Integer keys whose smaller values mean nothing (a negative worker
+// count, a zero-line trace buffer): rejected with the key's line.
+const std::vector<std::pair<std::string, std::int64_t>> kIntMinimums = {
+    {"workers", 0},    {"sampling_period", 0}, {"buffer_lines", 1},
+    {"max_cycles", 0}, {"cache_max_bytes", 0}};
 
 const std::vector<std::string> kOnOffKeys = {"profiling", "verify",
                                              "thread_reordering",
@@ -148,7 +155,15 @@ KeyMap parse_keys(const std::string& text) {
   // while we still know it.
   for (const auto& [key, kv] : keys) {
     if (contains(kIntKeys, key) || key == "select") {
-      for (const auto& v : kv.values) parse_int(key, v, kv.line);
+      for (const auto& v : kv.values) {
+        const std::int64_t n = parse_int(key, v, kv.line);
+        for (const auto& [k, min] : kIntMinimums) {
+          if (k == key && n < min) {
+            bad_value(key, v, "an integer >= " + std::to_string(min),
+                      kv.line);
+          }
+        }
+      }
     } else if (contains(kOnOffKeys, key)) {
       for (const auto& v : kv.values) parse_on_off(key, v, kv.line);
     }
@@ -359,10 +374,8 @@ ManifestRun parse_manifest(const std::string& text) {
   run.options.seed =
       std::uint64_t(parse_int("seed", scalar(keys, "seed", "1")));
   run.options.cache_dir = scalar(keys, "cache_dir", "");
-  const std::int64_t cache_max =
-      parse_int("cache_max_bytes", scalar(keys, "cache_max_bytes", "0"));
-  if (cache_max < 0) fail("manifest: cache_max_bytes must be >= 0");
-  run.options.cache_max_bytes = std::uint64_t(cache_max);
+  run.options.cache_max_bytes = std::uint64_t(
+      parse_int("cache_max_bytes", scalar(keys, "cache_max_bytes", "0")));
 
   const bool profiling =
       parse_on_off("profiling", scalar(keys, "profiling", "on"));

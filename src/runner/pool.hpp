@@ -55,8 +55,9 @@ class Pool {
   /// Tasks submitted but not yet picked up by a worker (point-in-time).
   std::size_t pending() const;
 
-  /// Pick a worker count: `requested` if > 0, else the hardware
-  /// concurrency (at least 1).
+  /// Pick a worker count: `requested` if > 0, the hardware concurrency
+  /// (at least 1) for 0 ("auto"), and 1 for a negative request — the
+  /// manifest and CLI parsers reject negative counts before they get here.
   static int resolve_workers(int requested);
 
  private:

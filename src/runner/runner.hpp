@@ -2,8 +2,9 @@
 // scheduler (pool.hpp), a content-addressed design cache
 // (design_cache.hpp), the batch API with deterministic per-job seeding
 // (job.hpp, batch.hpp), JSON/CSV reporting (report.hpp), the sweep
-// manifest format behind the `hlsprof-run` CLI (manifest.hpp), and the
-// multi-process shard coordinator (shard.hpp).
+// manifest format behind the `hlsprof-run` CLI (manifest.hpp), the
+// per-job progress event (progress.hpp), and the multi-process shard
+// coordinator (shard.hpp).
 //
 //   runner::Batch batch;
 //   for (int threads : {1, 2, 4, 8, 16}) {
@@ -26,5 +27,6 @@
 #include "runner/job.hpp"
 #include "runner/manifest.hpp"
 #include "runner/pool.hpp"
+#include "runner/progress.hpp"
 #include "runner/report.hpp"
 #include "runner/shard.hpp"

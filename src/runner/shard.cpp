@@ -37,8 +37,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kProgressPrefix = "##hlsprof-job ";
-
 /// Key of a `key = value` manifest line; empty for blanks and comments.
 std::string line_key(const std::string& line) {
   const std::string t = trim(line);
@@ -231,71 +229,6 @@ BatchResult merge_job_results(
   return merged;
 }
 
-std::string format_progress_line(const JobResult& job) {
-  return strf("%sindex=%d status=%s cycles=%llu running=%.3f spinning=%.3f "
-              "name=%s",
-              kProgressPrefix, job.index, job_status_name(job.status),
-              static_cast<unsigned long long>(job.total_cycles),
-              job.state_running, job.state_spinning, job.name.c_str());
-}
-
-bool parse_progress_line(const std::string& line, ProgressLine* out) {
-  const std::string t = trim(line);
-  if (!starts_with(t, kProgressPrefix)) return false;
-  const auto idx_at = t.find("index=");
-  const auto status_at = t.find(" status=");
-  const auto name_at = t.find(" name=");
-  if (idx_at == std::string::npos || status_at == std::string::npos ||
-      name_at == std::string::npos || status_at < idx_at ||
-      name_at < status_at) {
-    return false;
-  }
-  ProgressLine p;
-  try {
-    p.index = std::stoi(t.substr(idx_at + 6, status_at - (idx_at + 6)));
-  } catch (const std::exception&) {
-    return false;
-  }
-  // Status runs to the first space, so lines with or without the metric
-  // fields both parse.
-  const auto status_end = t.find(' ', status_at + 8);
-  if (status_end == std::string::npos || status_end > name_at) return false;
-  p.status = t.substr(status_at + 8, status_end - (status_at + 8));
-  p.name = t.substr(name_at + 6);  // the name runs to end of line
-  // Optional metric fields between status and name.
-  const std::string mid = t.substr(status_end, name_at - status_end);
-  const auto field = [&mid](const char* key) -> std::string {
-    const std::string needle = std::string(" ") + key + "=";
-    const auto at = mid.find(needle);
-    if (at == std::string::npos) return std::string();
-    const auto start = at + needle.size();
-    const auto end = mid.find(' ', start);
-    return mid.substr(start,
-                      end == std::string::npos ? std::string::npos
-                                               : end - start);
-  };
-  const std::string cycles = field("cycles");
-  if (!cycles.empty()) {
-    p.cycles = std::strtoull(cycles.c_str(), nullptr, 10);
-  }
-  const std::string running = field("running");
-  if (!running.empty()) p.running = std::strtod(running.c_str(), nullptr);
-  const std::string spinning = field("spinning");
-  if (!spinning.empty()) p.spinning = std::strtod(spinning.c_str(), nullptr);
-  *out = p;
-  return true;
-}
-
-bool parse_progress_line(const std::string& line, int* index,
-                         std::string* status, std::string* name) {
-  ProgressLine p;
-  if (!parse_progress_line(line, &p)) return false;
-  *index = p.index;
-  *status = p.status;
-  *name = p.name;
-  return true;
-}
-
 namespace {
 
 struct Event {
@@ -303,7 +236,7 @@ struct Event {
   Kind kind = Kind::job_done;
   int shard = 0;
   // job_done
-  ProgressLine job;
+  ProgressEvent job;
   // shard_exit
   bool ok = false;
   std::string report;  // canonical report JSON when ok
@@ -354,7 +287,6 @@ struct ShardTelemetry {
   telemetry::Counter& launched;
   telemetry::Counter& redispatched;
   telemetry::Counter& jobs_redispatched;
-  telemetry::Counter& duplicates;
   telemetry::Histogram& wall_ms;
   static ShardTelemetry& get() {
     auto& reg = telemetry::Registry::global();
@@ -362,7 +294,6 @@ struct ShardTelemetry {
         reg.counter("shard.launched"),
         reg.counter("shard.redispatched"),
         reg.counter("shard.jobs_redispatched"),
-        reg.counter("shard.duplicates"),
         reg.histogram("shard.wall_ms",
                       telemetry::exp_bounds(16.0, 2.0, 16), "ms"),
     };
@@ -370,7 +301,7 @@ struct ShardTelemetry {
   }
 };
 
-/// One launched shard (initial, replacement, or speculative backup).
+/// One launched shard (initial or replacement).
 struct Shard {
   int id = 0;
   std::vector<int> indices;  // original job indices it was given
@@ -378,7 +309,6 @@ struct Shard {
   int pid = -1;  // process mode; -1 in daemon mode
   std::chrono::steady_clock::time_point start;
   bool exited = false;
-  bool speculated = false;  // a backup was already launched for it
   /// Launch time on the coordinator's telemetry clock (µs since the
   /// registry epoch): the offset that rebases this child's trace onto
   /// the fleet timeline.
@@ -425,8 +355,7 @@ class Coordinator {
   void handle_event(const Event& e);
   void handle_exit(const Event& e);
   void redispatch(const Shard& from, std::vector<int> outstanding,
-                  const std::string& why, bool speculative);
-  void check_stragglers();
+                  const std::string& why);
   void kill_running();
   std::vector<int> outstanding_of(const Shard& s) const;
   double elapsed_ms(clock::time_point since) const {
@@ -458,9 +387,7 @@ class Coordinator {
   int workers_per_shard_ = 1;
   int redispatches_ = 0;
   int max_redispatch_ = 0;
-  int duplicates_ = 0;
   std::size_t daemon_rr_ = 0;  // round-robin cursor over opt_.connect
-  std::vector<double> completed_walls_;
   std::string fatal_;
 
   // unique_ptr: Shard holds a thread and is referenced by id across
@@ -572,7 +499,6 @@ void Coordinator::launch_process_shard(Shard& s) {
     args.push_back("--telemetry-out=" + opt_.child_telemetry_prefix +
                    std::to_string(s.id) + ".json");
   }
-  if (opt_.child_live_lines) args.push_back("--live-lines");
   if (!opt_.chrome_trace_out.empty()) {
     s.chrome_path =
         (fs::path(tmpdir_) / strf("shard-%d.trace.json", s.id)).string();
@@ -611,18 +537,15 @@ void Coordinator::launch_process_shard(Shard& s) {
       std::size_t cap = 0;
       ssize_t n = 0;
       while ((n = ::getline(&line, &cap, f)) >= 0) {
-        const std::string raw(line, std::size_t(n));
         Event e;
         e.kind = Event::Kind::job_done;
         e.shard = shard_id;
-        if (parse_progress_line(raw, &e.job)) {
-          push(std::move(e));
-        } else if (opt_.on_child_line) {
-          // Other machine lines (##hlsprof-live ...) feed the fleet live
-          // view directly from this reader thread.
-          const std::string t = trim(raw);
-          if (starts_with(t, "##hlsprof-")) opt_.on_child_line(shard_id, t);
+        try {
+          e.job = parse_progress_event(std::string_view(line, std::size_t(n)));
+        } catch (const std::exception&) {
+          continue;  // not a progress event: the report decides anyway
         }
+        push(std::move(e));
       }
       std::free(line);
       std::fclose(f);
@@ -630,8 +553,8 @@ void Coordinator::launch_process_shard(Shard& s) {
       ::close(read_fd);
     }
     // Peek the exit status WITHOUT reaping (WNOWAIT): the coordinator
-    // may still SIGKILL this pid (straggler cleanup), which must never
-    // race with pid recycling. The coordinator reaps after it marks the
+    // may still SIGKILL this pid (teardown on an error path), which must
+    // never race with pid recycling. The coordinator reaps after it marks the
     // shard exited, at which point it will never signal the pid again.
     siginfo_t si{};
     while (::waitid(P_PID, id_t(pid), &si, WEXITED | WNOWAIT) < 0 &&
@@ -685,10 +608,9 @@ std::vector<int> Coordinator::outstanding_of(const Shard& s) const {
 }
 
 void Coordinator::redispatch(const Shard& from, std::vector<int> outstanding,
-                             const std::string& why, bool speculative) {
+                             const std::string& why) {
   if (!fatal_.empty()) return;
   if (redispatches_ >= max_redispatch_) {
-    if (speculative) return;  // speculation is optional; give up quietly
     fatal_ = strf("shard: re-dispatch budget (%d) exhausted; shard %d %s "
                   "with %zu jobs outstanding",
                   max_redispatch_, from.id, why.c_str(), outstanding.size());
@@ -725,42 +647,44 @@ void Coordinator::handle_exit(const Event& e) {
   if (reg.enabled()) ShardTelemetry::get().wall_ms.observe(wall);
 
   if (e.ok) {
-    completed_walls_.push_back(wall);
     std::vector<JobResult> jobs;
     try {
       jobs = parse_report_jobs(e.report);
+      // Each job is outstanding in exactly one live shard, so a job this
+      // shard cannot deliver (not its own, already merged, or listed
+      // twice) means the report is corrupt: merge none of it.
+      const std::vector<int> mine = outstanding_of(s);
+      std::unordered_set<int> expected(mine.begin(), mine.end());
+      for (const JobResult& j : jobs) {
+        if (expected.erase(j.index) == 0) {
+          fail(strf("job index %d delivered twice or never asked for",
+                    j.index));
+        }
+      }
     } catch (const std::exception& ex) {
       const std::vector<int> outstanding = outstanding_of(s);
       if (!outstanding.empty()) {
         redispatch(s, outstanding,
-                   strf("returned an unreadable report (%s)", ex.what()),
-                   /*speculative=*/false);
+                   strf("returned an unreadable report (%s)", ex.what()));
       }
       return;
     }
     for (JobResult& j : jobs) {
-      const auto it = slot_of_.find(j.index);
-      if (it == slot_of_.end()) continue;  // not ours (defensive)
-      if (remaining_.erase(j.index) == 0) {
-        ++duplicates_;  // a speculative copy finished twice
-        if (reg.enabled()) ShardTelemetry::get().duplicates.add(1);
-        continue;
-      }
-      slots_[it->second] = std::move(j);
+      remaining_.erase(j.index);
+      slots_[slot_of_.at(j.index)] = std::move(j);
     }
     // A clean report that still left some of the shard's jobs unmerged
     // (truncated select handling would be a bug, but stay robust).
     const std::vector<int> missing = outstanding_of(s);
     if (!missing.empty()) {
-      redispatch(s, missing, "delivered an incomplete report",
-                 /*speculative=*/false);
+      redispatch(s, missing, "delivered an incomplete report");
     }
     return;
   }
 
   const std::vector<int> outstanding = outstanding_of(s);
-  if (outstanding.empty()) return;  // redundant copy we killed; expected
-  redispatch(s, outstanding, e.error, /*speculative=*/false);
+  if (outstanding.empty()) return;
+  redispatch(s, outstanding, e.error);
 }
 
 void Coordinator::handle_event(const Event& e) {
@@ -768,38 +692,12 @@ void Coordinator::handle_event(const Event& e) {
     handle_exit(e);
     return;
   }
-  progressed_.insert(e.job.index);
+  if (!progressed_.insert(e.job.index).second) return;
+  if (opt_.on_job_event) opt_.on_job_event(e.shard, e.job);
   if (!opt_.quiet) {
     progress_.note(strf("hlsprof-run: [shard %d] %s %s (%zu/%zu)", e.shard,
                         e.job.name.c_str(), e.job.status.c_str(),
                         progressed_.size(), universe_.size()));
-  }
-}
-
-void Coordinator::check_stragglers() {
-  // Process mode only: a daemon submission cannot be abandoned, so a
-  // speculative duplicate could not be cancelled and its thread would
-  // block past the end of the run.
-  if (!opt_.connect.empty() || opt_.straggler_factor <= 0) return;
-  if (completed_walls_.size() < 2) return;
-  std::vector<double> walls = completed_walls_;
-  const std::size_t mid = walls.size() / 2;
-  std::nth_element(walls.begin(), walls.begin() + mid, walls.end());
-  const double median = walls[mid];
-  const double threshold =
-      std::max(opt_.straggler_min_ms, opt_.straggler_factor * median);
-  const std::size_t launched = shards_.size();
-  for (std::size_t k = 0; k < launched; ++k) {
-    Shard& s = *shards_[k];
-    if (s.exited || s.speculated) continue;
-    if (elapsed_ms(s.start) <= threshold) continue;
-    const std::vector<int> outstanding = outstanding_of(s);
-    if (outstanding.empty()) continue;
-    s.speculated = true;
-    redispatch(s, outstanding,
-               strf("is a straggler (%.0f ms vs %.0f ms median)",
-                    elapsed_ms(s.start), median),
-               /*speculative=*/true);
   }
 }
 
@@ -827,23 +725,18 @@ ShardResult Coordinator::run() {
   };
 
   // Drive events until every job is merged (or the run is doomed and
-  // every shard has come home). Killed redundant shards report their
-  // (failed) exits through the same queue, so the loop also serves as
-  // the drain.
+  // every shard has come home). Every launched shard reports its exit
+  // through the queue, so the loop also serves as the drain.
   for (;;) {
     std::deque<Event> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(200),
-                   [&] { return !events_.empty(); });
+      cv_.wait(lock, [&] { return !events_.empty(); });
       batch.swap(events_);
     }
     for (const Event& e : batch) handle_event(e);
     progress_.flush();
-    if (remaining_.empty() && !all_exited()) kill_running();
     if ((remaining_.empty() || !fatal_.empty()) && all_exited()) break;
-    if (!batch.empty()) continue;
-    check_stragglers();
   }
   for (auto& sp : shards_) {
     if (sp->thread.joinable()) sp->thread.join();
@@ -864,7 +757,6 @@ ShardResult Coordinator::run() {
   out.out_prefix = run_.out_prefix;
   out.shards_launched = int(shards_.size());
   out.shards_redispatched = redispatches_;
-  out.duplicate_jobs = duplicates_;
   return out;
 }
 

@@ -14,13 +14,10 @@
 //  - shards run --canonical, so no wall-clock ever reaches the bytes.
 //
 // Fault handling: a shard that dies (non-zero exit, signal, unreadable
-// report) has its not-yet-merged jobs re-dispatched to a fresh shard; a
-// straggler (elapsed beyond a configurable multiple of the median
-// completed-shard wall time) gets a speculative backup shard for its
-// outstanding jobs while the original keeps running. Whichever copy of
-// a job reports first wins; later copies are counted as duplicates and
-// dropped — safe because job content is deterministic, so every copy
-// carries identical bytes. See docs/SHARDING.md.
+// report) has its not-yet-merged jobs re-dispatched to a fresh shard.
+// Every job is outstanding in exactly one live shard at a time, so a
+// report that delivers a job twice, or one its shard was not given, is
+// unreadable too. See docs/SHARDING.md.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +26,7 @@
 #include <vector>
 
 #include "runner/batch.hpp"
+#include "runner/progress.hpp"
 
 namespace hlsprof::runner {
 
@@ -49,21 +47,9 @@ struct ShardOptions {
   int shards = 2;
   ShardStrategy strategy = ShardStrategy::round_robin;
 
-  /// Straggler threshold: once at least two shards have finished, a
-  /// still-running shard whose elapsed time exceeds
-  /// `straggler_factor * median(finished shard wall times)` (and
-  /// `straggler_min_ms`) gets one speculative backup shard for its
-  /// outstanding jobs. 0 disables speculation. Process mode only — a
-  /// daemon submission cannot be abandoned mid-flight, so daemon mode
-  /// re-dispatches on failure but never speculates.
-  double straggler_factor = 3.0;
-  /// Floor below which a shard is never called a straggler, so tiny
-  /// batches don't speculate on scheduling noise.
-  double straggler_min_ms = 500.0;
-
-  /// Re-dispatch budget (dead shards + speculative backups combined);
-  /// 0 = 2 * shards. Exhausting it fails the run rather than looping
-  /// on a persistent fault.
+  /// Re-dispatch budget (replacement shards); 0 = 2 * shards.
+  /// Exhausting it fails the run rather than looping on a persistent
+  /// fault.
   int max_redispatch = 0;
 
   /// Non-empty: daemon mode. Shards are submitted to these
@@ -117,14 +103,11 @@ struct ShardOptions {
   /// thread. Null = write batches to stderr.
   std::function<void(const std::string& lines)> emit_progress;
 
-  /// Process mode: pass --live-lines to every shard child so it emits
-  /// `##hlsprof-live` totals lines on its progress pipe (the fleet live
-  /// view's feed).
-  bool child_live_lines = false;
-  /// Called from shard *reader threads* with every non-progress
-  /// `##hlsprof-` line a child printed (i.e. `##hlsprof-live` lines
-  /// under child_live_lines). The receiver must do its own locking.
-  std::function<void(int shard, const std::string& line)> on_child_line;
+  /// Process mode: called on the coordinator thread with each child
+  /// progress event (runner/progress.hpp), once per job index — a job a
+  /// re-dispatched shard reports again is not passed on twice. The fleet
+  /// live view's feed.
+  std::function<void(int shard, const ProgressEvent& event)> on_job_event;
 
   /// Non-empty, process mode: every shard child additionally writes a
   /// Chrome/Perfetto trace of its own telemetry, and the coordinator
@@ -149,8 +132,7 @@ struct ShardResult {
   std::string label;       // from the manifest
   std::string out_prefix;  // from the manifest (CLI may override)
   int shards_launched = 0;      // including re-dispatched ones
-  int shards_redispatched = 0;  // dead-shard replacements + backups
-  int duplicate_jobs = 0;       // dropped later copies of merged jobs
+  int shards_redispatched = 0;  // dead-shard replacements
 };
 
 /// Run `manifest_text` sharded. Throws hlsprof::Error on coordinator
@@ -200,27 +182,5 @@ std::vector<JobResult> parse_report_jobs(const std::string& report_json_text);
 BatchResult merge_job_results(
     const std::vector<std::vector<JobResult>>& per_shard,
     const std::vector<int>& expected_indices, int* duplicates = nullptr);
-
-/// The per-job progress line a shard child emits on stdout under
-/// --progress and the coordinator's parser for it. Format:
-///   ##hlsprof-job index=I status=S cycles=N running=F spinning=F name=N...
-/// (name extends to end of line; it may contain spaces). The metric
-/// fields carry the job's live summary — cycle count and running /
-/// spinning state shares — so the coordinator can show per-job metrics
-/// without waiting for the shard's report. The parser accepts lines
-/// without them (older children), leaving the metrics zero.
-struct ProgressLine {
-  int index = -1;
-  std::string status;
-  std::string name;
-  std::uint64_t cycles = 0;
-  double running = 0.0;
-  double spinning = 0.0;
-};
-std::string format_progress_line(const JobResult& job);
-bool parse_progress_line(const std::string& line, ProgressLine* out);
-/// Compatibility form: index/status/name only.
-bool parse_progress_line(const std::string& line, int* index,
-                         std::string* status, std::string* name);
 
 }  // namespace hlsprof::runner

@@ -13,9 +13,11 @@
 //   {"op":"shutdown","id":10}
 //
 // A watch submit additionally streams one progress event per finished
-// job BEFORE the final submit response (same "id", "event":"progress"):
+// job BEFORE the final submit response: the runner's progress event
+// (runner/progress.hpp, docs/LIVE.md) with the request's "id" and "ok":
 //   {"id":7,"ok":true,"event":"progress","done":2,"jobs":3,"index":1,
-//    "status":"ok","name":"pi n=1000000"}
+//    "status":"ok","name":"pi.steps=4000","cycles":231072,"threads":8,
+//    "state_cycles":[1024,1700000,0,147552],"bytes":98304}
 // Clients not watching never see events; a pipelining client matches
 // them by "id" like any response and keeps reading until the line
 // without "event".
@@ -41,6 +43,8 @@
 
 #include <cstdint>
 #include <string>
+
+#include "runner/progress.hpp"
 
 namespace hlsprof::serve {
 
@@ -81,9 +85,7 @@ std::string ping_response(std::uint64_t id, const std::string& build);
 std::string shutdown_response(std::uint64_t id);
 /// One per-job progress event of a watch submit (never the final word on
 /// a request — a submit_ok/error response always follows).
-std::string progress_event(std::uint64_t id, int done, int jobs, int index,
-                           const std::string& status,
-                           const std::string& name);
+std::string progress_event(std::uint64_t id, const runner::ProgressEvent& e);
 
 /// Parsed response, client side. Exactly the fields of the wire format;
 /// absent fields are empty/zero.
@@ -103,10 +105,7 @@ struct Response {
   /// Non-empty for streamed events ("progress"); the final response of a
   /// request never carries it.
   std::string event;
-  int done = 0;       // progress: jobs finished so far
-  int index = -1;     // progress: the finished job's original index
-  std::string status; // progress: job status name
-  std::string name;   // progress: job name
+  runner::ProgressEvent progress;  // when event == "progress"
 };
 
 /// Parse one response line. Throws hlsprof::Error on malformed JSON.

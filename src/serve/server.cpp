@@ -290,10 +290,10 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
     const int jobs_total = int(run.batch.size());
     run.options.on_job_done = [this, &conn, &watch_done, id,
                                jobs_total](const runner::JobResult& job) {
-      write_line(conn, progress_event(
-                           id, watch_done.fetch_add(1) + 1, jobs_total,
-                           job.index, runner::job_status_name(job.status),
-                           job.name));
+      write_line(conn,
+                 progress_event(id, runner::ProgressEvent::of(
+                                        job, watch_done.fetch_add(1) + 1,
+                                        jobs_total)));
     };
   }
 

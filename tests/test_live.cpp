@@ -1,13 +1,14 @@
-// Tests for the live observability layer (src/live): LiveMetrics must
-// match the post-hoc paraver/analysis numbers EXACTLY (same doubles, not
-// approximately), the live timeline must compact to fit, the
-// ##hlsprof-live channel must round-trip, fleet merging must be
-// weighted correctly, and attaching any of it must leave canonical
-// report and Paraver bytes untouched.
+// Tests for the live observability layer (src/live): totals folded from
+// per-job progress events must equal the post-hoc paraver/analysis
+// numbers of every job's timeline, the live timeline must compact to
+// fit, fleet lanes must merge exactly, and attaching any of it must
+// leave canonical report and Paraver bytes untouched.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
-#include <random>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,13 +16,11 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "core/hlsprof.hpp"
-#include "live/metrics.hpp"
 #include "live/reporter.hpp"
 #include "live/timeline.hpp"
 #include "paraver/analysis.hpp"
 #include "paraver/writer.hpp"
 #include "runner/runner.hpp"
-#include "runner/shard.hpp"
 #include "telemetry/export.hpp"
 #include "trace/timed_trace.hpp"
 #include "workloads/gemm.hpp"
@@ -31,126 +30,7 @@
 namespace hlsprof {
 namespace {
 
-using sim::ThreadState;
-using trace::EventKind;
-
-constexpr ThreadState kStates[4] = {ThreadState::idle, ThreadState::running,
-                                    ThreadState::critical,
-                                    ThreadState::spinning};
-
-/// Assert that LiveMetrics' finalized stats equal the analysis of the
-/// canonical timeline bit for bit.
-void expect_matches_analysis(const live::LiveStats& st,
-                             const trace::TimedTrace& t) {
-  ASSERT_EQ(st.num_threads, t.num_threads);
-  EXPECT_EQ(st.duration, t.duration);
-  EXPECT_EQ(st.sampling_period, t.sampling_period);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(st.state_cycles[std::size_t(s)], t.state_cycles(kStates[s]));
-    EXPECT_EQ(st.state_share[std::size_t(s)], t.state_fraction(kStates[s]));
-    for (int k = 0; k < t.num_threads; ++k) {
-      EXPECT_EQ(st.per_thread[std::size_t(k)][std::size_t(s)],
-                t.state_fraction(thread_id_t(k), kStates[s]));
-    }
-  }
-  EXPECT_EQ(st.mean_bandwidth, paraver::mean_bandwidth(t));
-  if (t.sampling_period > 0) {
-    EXPECT_EQ(st.peak_bandwidth, paraver::peak_bandwidth(t));
-  }
-}
-
-// ---- LiveMetrics vs post-hoc analysis --------------------------------------
-
-TEST(LiveMetrics, MatchesAnalysisOnRandomStreams) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    std::mt19937_64 rng(seed);
-    const int threads = 1 + int(rng() % 8);
-    const cycle_t period = (rng() % 3 == 0) ? 64 : 256;
-    trace::TimedTraceBuilder builder(threads, period);
-    live::LiveMetrics lm(threads, period);
-
-    cycle_t t = rng() % 16;
-    const int n_records = 20 + int(rng() % 200);
-    for (int i = 0; i < n_records; ++i) {
-      if (rng() % 4 == 0) {
-        trace::EventRecord e;
-        e.kind = EventKind(1 + rng() % 5);
-        e.thread = std::uint8_t(rng() % std::uint64_t(threads));
-        e.clock32 = std::uint32_t(t);
-        e.value = rng() % 5000;
-        builder.on_event(e, t);
-        lm.on_event(e, t);
-      } else {
-        trace::StateRecord s;
-        s.clock32 = std::uint32_t(t);
-        for (int k = 0; k < threads; ++k) {
-          s.states.push_back(std::uint8_t(rng() % 4));
-        }
-        builder.on_state(s, t);
-        lm.on_state(s, t);
-      }
-      // Sometimes repeat a clock (same-cycle records), sometimes jump.
-      t += (rng() % 3 == 0) ? 0 : 1 + rng() % 300;
-    }
-    // Run end beyond, at, or before the last record clock.
-    const cycle_t run_end = (rng() % 2 == 0) ? t + rng() % 1000 : t / 2;
-    const trace::TimedTrace timeline = builder.finish(run_end);
-    expect_matches_analysis(lm.finalize(run_end), timeline);
-  }
-}
-
-TEST(LiveMetrics, MatchesAnalysisOnRealWorkloads) {
-  struct Case {
-    const char* name;
-    ir::Kernel kernel;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"vecadd", workloads::vecadd(2048, 4)});
-  workloads::GemmConfig gcfg;
-  gcfg.dim = 24;
-  cases.push_back({"gemm", workloads::gemm_versions()[0].build(gcfg)});
-
-  for (auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    hls::Design d = core::compile(std::move(c.kernel));
-    const int threads = d.kernel.num_threads;
-    core::RunOptions opts;
-    live::LiveMetrics lm(threads, opts.profiling.sampling_period);
-    opts.live_sink = &lm;
-    core::Session s(std::move(d), opts);
-    runner::HostBuffers bufs;
-    if (std::string(c.name) == "vecadd") {
-      s.sim().bind_f32("x", bufs.f32(workloads::random_vector(2048, 1)));
-      s.sim().bind_f32("y", bufs.f32(workloads::random_vector(2048, 2)));
-      s.sim().bind_f32("z", bufs.f32(2048));
-    } else {
-      s.sim().bind_f32("A", bufs.f32(workloads::random_matrix(24, 1)));
-      s.sim().bind_f32("B", bufs.f32(workloads::random_matrix(24, 2)));
-      s.sim().bind_f32("C", bufs.f32(24 * 24));
-    }
-    const core::RunResult r = s.run();
-    ASSERT_TRUE(r.has_trace);
-    EXPECT_EQ(lm.state_records(), r.state_records);
-    EXPECT_EQ(lm.event_records(), r.event_records);
-    expect_matches_analysis(lm.finalize(r.timeline.duration), r.timeline);
-  }
-}
-
-TEST(LiveMetrics, PeekValuesOpenIntervalsAtLastClock) {
-  live::LiveMetrics lm(2, 0);
-  trace::StateRecord s;
-  s.states = {1, 0};  // running, idle
-  lm.on_state(s, 100);
-  s.states = {1, 3};
-  lm.on_state(s, 300);
-  const live::LiveStats st = lm.peek();
-  EXPECT_EQ(st.duration, 300u);
-  // Thread 0 ran [100,300); thread 1 idled [100,300) (its spin interval
-  // is still zero-length at the peek clock).
-  EXPECT_EQ(st.state_cycles[1], 200u);
-  EXPECT_EQ(st.state_cycles[0], 200u);
-  EXPECT_EQ(st.state_cycles[3], 0u);
-}
+// ---- live sinks ------------------------------------------------------------
 
 TEST(LiveMetrics, AttachingLiveSinkKeepsTraceBytesIdentical) {
   const auto run_once = [](trace::RecordSink* sink) {
@@ -165,13 +45,13 @@ TEST(LiveMetrics, AttachingLiveSinkKeepsTraceBytesIdentical) {
     const core::RunResult r = s.run();
     return paraver::to_paraver(r.timeline, "vecadd");
   };
-  live::LiveMetrics lm(4, 8192);
+  live::LiveTimelineView view(4);
   const auto off = run_once(nullptr);
-  const auto on = run_once(&lm);
+  const auto on = run_once(&view);
   EXPECT_EQ(off.prv, on.prv);
   EXPECT_EQ(off.pcf, on.pcf);
   EXPECT_EQ(off.row, on.row);
-  EXPECT_GT(lm.state_records(), 0);
+  EXPECT_GT(view.last_clock(), 0u);
 }
 
 // ---- timeline view ---------------------------------------------------------
@@ -212,57 +92,44 @@ TEST(LiveTimeline, CompactsSpanToFitWidth) {
   EXPECT_NE(frame.find("T0 "), std::string::npos);
 }
 
-// ---- live line channel -----------------------------------------------------
+// ---- integer totals --------------------------------------------------------
 
-TEST(LiveLine, FormatsAndParsesExactly) {
-  live::LiveLine l;
-  l.jobs_done = 3;
-  l.jobs_total = 16;
-  l.cycles = 123456789;
-  l.thread_cycles = 987654321;
-  l.idle = 0.125;
-  l.running = 0.75;
-  l.critical = 0.0625;
-  l.spinning = 0.0625;
-  l.bw = 1.5;
-  const std::string line = live::format_live_line(l);
-  EXPECT_EQ(line.rfind(live::kLivePrefix, 0), 0u);
-  live::LiveLine back;
-  ASSERT_TRUE(live::parse_live_line(line, &back));
-  EXPECT_EQ(back.jobs_done, l.jobs_done);
-  EXPECT_EQ(back.jobs_total, l.jobs_total);
-  EXPECT_EQ(back.cycles, l.cycles);
-  EXPECT_EQ(back.thread_cycles, l.thread_cycles);
-  EXPECT_DOUBLE_EQ(back.running, l.running);
-  EXPECT_DOUBLE_EQ(back.bw, l.bw);
-  EXPECT_FALSE(live::parse_live_line("##hlsprof-job index=1 ...", &back));
-  EXPECT_FALSE(live::parse_live_line("##hlsprof-live jobs_done=x", &back));
-  EXPECT_FALSE(live::parse_live_line("plain chatter", &back));
+runner::ProgressEvent event(const char* status, std::uint64_t cycles,
+                            int threads,
+                            std::array<std::uint64_t, 4> state_cycles,
+                            std::uint64_t bytes) {
+  runner::ProgressEvent e;
+  e.jobs = 4;
+  e.status = status;
+  e.cycles = cycles;
+  e.threads = threads;
+  e.state_cycles = state_cycles;
+  e.bytes = bytes;
+  return e;
 }
 
-TEST(LiveLine, MergeWeightsByThreadCycles) {
-  live::LiveLine a;
-  a.jobs_done = 1;
-  a.jobs_total = 2;
-  a.cycles = 100;
-  a.thread_cycles = 400;  // 4 threads
-  a.running = 1.0;
-  a.bw = 2.0;
-  live::LiveLine b;
-  b.jobs_done = 1;
-  b.jobs_total = 2;
-  b.cycles = 300;
-  b.thread_cycles = 1200;
-  b.idle = 1.0;
-  b.bw = 0.0;
-  const live::LiveLine m = live::merge_live_lines({a, b});
-  EXPECT_EQ(m.jobs_done, 2u);
-  EXPECT_EQ(m.jobs_total, 4u);
+TEST(LiveTotals, AddFoldsOkJobsAndMergesExactly) {
+  live::LiveTotals a;
+  a.add(event("ok", 100, 4, {0, 400, 0, 0}, 200));
+  a.add(event("failed", 999, 4, {999, 0, 0, 0}, 999));  // counted, not folded
+  EXPECT_EQ(a.jobs_done, 2u);
+  EXPECT_EQ(a.jobs_total, 4u);
+  EXPECT_EQ(a.cycles, 100u);
+  EXPECT_EQ(a.thread_cycles, 400u);
+  EXPECT_EQ(a.bytes, 200u);
+
+  live::LiveTotals b;
+  b.add(event("ok", 300, 4, {1200, 0, 0, 0}, 0));
+  live::LiveTotals m = a;
+  m += b;
+  EXPECT_EQ(m.jobs_done, 3u);
   EXPECT_EQ(m.cycles, 400u);
   EXPECT_EQ(m.thread_cycles, 1600u);
-  EXPECT_DOUBLE_EQ(m.running, 0.25);  // 400/1600
-  EXPECT_DOUBLE_EQ(m.idle, 0.75);
-  EXPECT_DOUBLE_EQ(m.bw, 0.5);  // (2*100 + 0*300) / 400
+  EXPECT_DOUBLE_EQ(m.share(1), 0.25);  // 400/1600
+  EXPECT_DOUBLE_EQ(m.share(0), 0.75);
+  EXPECT_DOUBLE_EQ(m.bandwidth(), 0.5);  // 200 bytes / 400 cycles
+  EXPECT_EQ(live::LiveTotals{}.share(0), 0.0);
+  EXPECT_EQ(live::LiveTotals{}.bandwidth(), 0.0);
 }
 
 // ---- batch reporter --------------------------------------------------------
@@ -298,20 +165,26 @@ TEST(LiveReporter, ObserverKeepsReportBytesIdenticalAndFoldsTotals) {
   base.seed = 42;
   const runner::BatchResult plain = batch.run(base);
 
-  std::FILE* lines = std::tmpfile();
-  ASSERT_NE(lines, nullptr);
+  // State mode with a display: the job holding the slot gets a live
+  // timeline teed off its record stream.
+  std::FILE* display = std::tmpfile();
+  ASSERT_NE(display, nullptr);
   live::ReporterOptions ropts;
+  ropts.mode = live::LiveMode::state;
+  ropts.display = display;
   ropts.jobs_total = batch.size();
-  ropts.line_out = lines;
   live::BatchLiveReporter reporter(ropts);
   runner::BatchOptions observed = base;
   observed.observer = &reporter;
+  observed.on_job_done = [&reporter](const runner::JobResult& j) {
+    reporter.on_job_done(j);
+  };
   const runner::BatchResult live_run = batch.run(observed);
   reporter.finish();
 
   EXPECT_EQ(canonical_report(plain), canonical_report(live_run));
 
-  const live::LiveLine totals = reporter.totals();
+  const live::LiveTotals totals = reporter.totals();
   EXPECT_EQ(totals.jobs_done, 3u);
   EXPECT_EQ(totals.jobs_total, 3u);
   EXPECT_GT(totals.cycles, 0u);
@@ -319,80 +192,172 @@ TEST(LiveReporter, ObserverKeepsReportBytesIdenticalAndFoldsTotals) {
   // denominator is exactly 4x the summed timeline durations.
   EXPECT_EQ(totals.thread_cycles, totals.cycles * 4);
 
-  // One flushed ##hlsprof-live line per finished job, last one == totals.
-  std::rewind(lines);
-  std::string text(1 << 16, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), lines));
-  std::fclose(lines);
-  int count = 0;
-  std::size_t pos = 0;
-  std::string last;
-  while ((pos = text.find(live::kLivePrefix, pos)) != std::string::npos) {
-    const std::size_t nl = text.find('\n', pos);
-    last = text.substr(pos, nl - pos);
-    ++count;
-    pos = nl;
+  // At least one timeline frame reached the display.
+  EXPECT_GT(std::ftell(display), 0L);
+  std::fclose(display);
+}
+
+/// Post-hoc analysis of one job's canonical timeline, captured from the
+/// job's check callback.
+struct JobAnalysis {
+  paraver::StateSummary states;
+  double mean_bandwidth = 0.0;
+  cycle_t duration = 0;
+  int threads = 0;
+  std::array<cycle_t, 4> state_cycles{};
+  std::uint64_t bytes = 0;
+};
+
+TEST(LiveReporter, TotalsEqualPerJobAnalysisSums) {
+  std::mutex mu;
+  std::map<std::string, JobAnalysis> analysis;
+  const auto capture = [&mu, &analysis](const std::string& name) {
+    return [&mu, &analysis, name](const core::RunResult& r,
+                                  runner::HostBuffers&) {
+      const trace::TimedTrace& t = r.timeline;
+      JobAnalysis a;
+      a.states = paraver::summarize_states(t);
+      a.mean_bandwidth = paraver::mean_bandwidth(t);
+      a.duration = t.duration;
+      a.threads = t.num_threads;
+      for (int s = 0; s < 4; ++s) {
+        a.state_cycles[std::size_t(s)] =
+            t.state_cycles(sim::ThreadState(s));
+      }
+      a.bytes = t.event_total(trace::EventKind::bytes_read) +
+                t.event_total(trace::EventKind::bytes_written);
+      std::lock_guard<std::mutex> lock(mu);
+      analysis[name] = a;
+    };
+  };
+
+  runner::Batch batch;
+  for (std::int64_t n : {256, 2048}) {
+    runner::JobSpec spec = live_vecadd_job(n);
+    spec.check = capture(spec.name);
+    batch.add(std::move(spec));
   }
-  EXPECT_EQ(count, 3);
-  live::LiveLine parsed;
-  ASSERT_TRUE(live::parse_live_line(last, &parsed));
-  EXPECT_EQ(parsed.jobs_done, 3u);
-  EXPECT_EQ(parsed.cycles, totals.cycles);
+  {
+    // Naive GEMM: critical sections, so all four states occur.
+    runner::JobSpec spec;
+    spec.name = "gemm.naive";
+    workloads::GemmConfig cfg;
+    cfg.dim = 16;
+    spec.kernel = [cfg](SplitMix64&) { return workloads::gemm_naive(cfg); };
+    spec.bind = [](core::Session& s, runner::HostBuffers& bufs,
+                   SplitMix64& rng) {
+      s.sim().bind_f32("A",
+                       bufs.f32(workloads::random_matrix(16, rng.next())));
+      s.sim().bind_f32("B",
+                       bufs.f32(workloads::random_matrix(16, rng.next())));
+      s.sim().bind_f32("C", bufs.f32(16 * 16));
+    };
+    spec.check = capture(spec.name);
+    batch.add(std::move(spec));
+  }
+
+  live::ReporterOptions ropts;
+  ropts.jobs_total = batch.size();
+  live::BatchLiveReporter reporter(ropts);
+  runner::BatchOptions opts;
+  opts.workers = 2;
+  opts.on_job_done = [&reporter](const runner::JobResult& j) {
+    reporter.on_job_done(j);
+  };
+  const runner::BatchResult result = batch.run(opts);
+  ASSERT_TRUE(result.all_ok());
+  ASSERT_EQ(analysis.size(), batch.size());
+
+  // Exact integers against the timelines, then the derived shares and
+  // bandwidth against the analysis functions, weighted the way a run
+  // aggregates them (by thread-cycles and by cycles).
+  std::uint64_t cycles = 0, thread_cycles = 0, bytes = 0;
+  std::array<std::uint64_t, 4> state_cycles{};
+  double weighted[4] = {0, 0, 0, 0};
+  double weighted_bw = 0.0;
+  for (const auto& [name, a] : analysis) {
+    SCOPED_TRACE(name);
+    EXPECT_GT(a.duration, 0u);
+    cycles += a.duration;
+    const double tc = double(a.duration) * double(a.threads);
+    thread_cycles += a.duration * std::uint64_t(a.threads);
+    bytes += a.bytes;
+    for (std::size_t s = 0; s < 4; ++s) state_cycles[s] += a.state_cycles[s];
+    weighted[0] += a.states.idle * tc;
+    weighted[1] += a.states.running * tc;
+    weighted[2] += a.states.critical * tc;
+    weighted[3] += a.states.spinning * tc;
+    weighted_bw += a.mean_bandwidth * double(a.duration);
+  }
+  const live::LiveTotals totals = reporter.totals();
+  EXPECT_EQ(totals.jobs_done, batch.size());
+  EXPECT_EQ(totals.cycles, cycles);
+  EXPECT_EQ(totals.thread_cycles, thread_cycles);
+  EXPECT_EQ(totals.state_cycles, state_cycles);
+  EXPECT_EQ(totals.bytes, bytes);
+  EXPECT_GT(totals.state_cycles[2], 0u);  // critical occurred
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_NEAR(totals.share(s), weighted[s] / double(thread_cycles), 1e-12)
+        << "state " << s;
+  }
+  EXPECT_NEAR(totals.bandwidth(), weighted_bw / double(cycles), 1e-12);
+
+  // The report's per-job shares are summarize_states' doubles exactly.
+  for (const runner::JobResult& j : result.jobs) {
+    const JobAnalysis& a = analysis.at(j.name);
+    EXPECT_EQ(j.state_idle, a.states.idle);
+    EXPECT_EQ(j.state_running, a.states.running);
+    EXPECT_EQ(j.state_critical, a.states.critical);
+    EXPECT_EQ(j.state_spinning, a.states.spinning);
+  }
 }
 
 // ---- fleet view ------------------------------------------------------------
 
 TEST(LiveFleet, AggregatesShardLanes) {
   live::FleetView fleet(2, live::FleetOptions{});
-  live::LiveLine a;
-  a.jobs_done = 1;
-  a.jobs_total = 2;
-  a.cycles = 100;
-  a.thread_cycles = 800;
-  a.running = 0.5;
-  a.idle = 0.5;
-  fleet.update(0, a);
-  fleet.update(1, a);
-  const live::LiveLine m = fleet.merged();
+  const runner::ProgressEvent e = event("ok", 100, 8, {400, 400, 0, 0}, 50);
+  fleet.update(0, e);
+  fleet.update(1, e);
+  const live::LiveTotals m = fleet.merged();
   EXPECT_EQ(m.jobs_done, 2u);
   EXPECT_EQ(m.cycles, 200u);
-  EXPECT_DOUBLE_EQ(m.running, 0.5);
+  EXPECT_DOUBLE_EQ(m.share(1), 0.5);
+  EXPECT_DOUBLE_EQ(m.bandwidth(), 0.5);
   const std::string frame = fleet.render_frame();
   EXPECT_NE(frame.find("shard 0"), std::string::npos);
   EXPECT_NE(frame.find("shard 1"), std::string::npos);
   EXPECT_NE(frame.find("fleet"), std::string::npos);
   // A re-dispatched shard (id beyond the initial split) gets a lane too.
-  fleet.update(4, a);
+  fleet.update(4, e);
   EXPECT_EQ(fleet.merged().jobs_done, 3u);
+  EXPECT_NE(fleet.render_frame().find("shard 3   (waiting)"),
+            std::string::npos);
 }
 
-// ---- progress line metrics -------------------------------------------------
+// ---- progress event metrics ------------------------------------------------
 
 TEST(LiveProgressLine, CarriesJobMetrics) {
   runner::JobResult j;
   j.index = 7;
   j.status = runner::JobStatus::ok;
   j.name = "gemm dim=48, blocked";
+  j.num_threads = 8;
   j.total_cycles = 123456;
-  j.state_running = 0.625;
-  j.state_spinning = 0.125;
-  const std::string line = runner::format_progress_line(j);
-  runner::ProgressLine p;
-  ASSERT_TRUE(runner::parse_progress_line(line, &p));
+  j.timeline_cycles = 120000;
+  j.state_cycles = {1, 2, 3, 959994};
+  j.trace_mem_bytes = 1ULL << 40;
+  const runner::ProgressEvent p =
+      runner::parse_progress_event(runner::format_progress_event(j, 2, 5));
+  EXPECT_EQ(p.done, 2);
+  EXPECT_EQ(p.jobs, 5);
   EXPECT_EQ(p.index, 7);
   EXPECT_EQ(p.status, "ok");
   EXPECT_EQ(p.name, j.name);
-  EXPECT_EQ(p.cycles, 123456u);
-  EXPECT_NEAR(p.running, 0.625, 1e-3);
-  EXPECT_NEAR(p.spinning, 0.125, 1e-3);
-  // Older-format lines (no metric fields) still parse, metrics zero.
-  runner::ProgressLine old;
-  ASSERT_TRUE(runner::parse_progress_line(
-      "##hlsprof-job index=3 status=failed name=x y z", &old));
-  EXPECT_EQ(old.index, 3);
-  EXPECT_EQ(old.status, "failed");
-  EXPECT_EQ(old.name, "x y z");
-  EXPECT_EQ(old.cycles, 0u);
+  EXPECT_EQ(p.cycles, 120000u);  // the timeline duration
+  EXPECT_EQ(p.threads, 8);
+  EXPECT_EQ(p.state_cycles, (std::array<std::uint64_t, 4>{1, 2, 3, 959994}));
+  EXPECT_EQ(p.bytes, 1ULL << 40);
 }
 
 // ---- merged chrome traces --------------------------------------------------

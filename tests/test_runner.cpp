@@ -3,10 +3,14 @@
 // fault isolation, deterministic seeding, timeouts, manifests, reports.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -435,6 +439,38 @@ TEST(RunnerManifest, ErrorsNameTheLineAndOffendingKey) {
   msg = manifest_error("workload = starship\n");
   EXPECT_NE(msg.find("\"starship\""), std::string::npos) << msg;
   EXPECT_NE(msg.find("gemm, pi, vecadd, dot"), std::string::npos) << msg;
+
+  // Integers below their meaningful range name the key and its line.
+  const std::pair<const char*, const char*> below_minimum[] = {
+      {"workers = -3", "'workers'"},
+      {"sampling_period = 1024,-1", "'sampling_period'"},
+      {"buffer_lines = 0", "'buffer_lines'"},
+      {"max_cycles = -5", "'max_cycles'"},
+  };
+  for (const auto& [line, key] : below_minimum) {
+    msg = manifest_error(std::string("workload = pi\n") + line + "\n");
+    EXPECT_NE(msg.find("manifest:2:"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(key), std::string::npos) << msg;
+    EXPECT_NE(msg.find(">="), std::string::npos) << msg;
+  }
+}
+
+TEST(RunnerCli, NegativeWorkersIsUsageError) {
+  const std::filesystem::path manifest =
+      std::filesystem::path(testing::TempDir()) / "hlsprof_cli.manifest";
+  {
+    std::ofstream f(manifest);
+    f << "workload = vecadd\nn = 16\nthreads = 2\nprofiling = off\n";
+  }
+  const auto run = [&manifest](const std::string& flag) {
+    const std::string cmd = std::string("'") + HLSPROF_RUN_BIN + "' '" +
+                            manifest.string() + "' --quiet " + flag +
+                            " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(run("--workers=-3"), 2);
+  EXPECT_EQ(run("--workers=0"), 0);  // 0 = one worker per core
 }
 
 // ---- pool drain / cancel ---------------------------------------------------

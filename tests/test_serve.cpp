@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -219,6 +220,32 @@ TEST(ServeProtocol, ErrorAndInlineResponsesRoundTrip) {
   EXPECT_TRUE(s.draining);
 }
 
+TEST(ServeProtocol, ProgressEventIsTheRunnerEventPlusRequestId) {
+  runner::JobResult j;
+  j.index = 4;
+  j.name = "pi \"quoted\" name=x";
+  j.num_threads = 2;
+  j.timeline_cycles = 500;
+  j.state_cycles = {10, 900, 0, 90};
+  j.trace_mem_bytes = 64;
+  const runner::ProgressEvent sent = runner::ProgressEvent::of(j, 2, 3);
+  const std::string line = serve::progress_event(77, sent);
+  // Same members, same order, as the hlsprof-run --progress line.
+  const std::string bare = runner::format_progress_event(j, 2, 3);
+  EXPECT_EQ(line, R"({"id":77,"ok":true,)" + bare.substr(1));
+
+  const serve::Response r = serve::parse_response(line);
+  EXPECT_EQ(r.id, 77u);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.event, "progress");
+  EXPECT_EQ(r.progress.index, 4);
+  EXPECT_EQ(r.progress.done, 2);
+  EXPECT_EQ(r.progress.jobs, 3);
+  EXPECT_EQ(r.progress.name, j.name);
+  EXPECT_EQ(r.progress.state_cycles, sent.state_cycles);
+  EXPECT_EQ(r.progress.bytes, 64u);
+}
+
 TEST(ServeProtocol, MalformedRequestsThrow) {
   EXPECT_THROW(serve::parse_request("not json"), Error);
   EXPECT_THROW(serve::parse_request("{\"op\":\"launch\"}"), Error);
@@ -359,6 +386,47 @@ TEST(ServeServer, LifecycleSubmitMetricsShutdown) {
   serving.join();
   EXPECT_FALSE(fs::exists(options.socket_path))
       << "drain must remove the socket file";
+  fs::remove_all(dir);
+}
+
+TEST(ServeServer, WatchStreamsOneProgressEventPerJob) {
+  const std::string dir = fresh_socket_dir("watch");
+  const std::string manifest =
+      "workload = vecadd\nn = 128,256\nthreads = 2\nlabel = watch\n";
+  const std::string want = direct_report(manifest);
+
+  serve::ServerOptions options;
+  options.socket_path = dir + "/d.sock";
+  options.workers = 2;
+  serve::Server server(options);
+  std::thread serving([&] { server.serve(); });
+  {
+    serve::Client client(options.socket_path);
+    std::vector<runner::ProgressEvent> events;
+    const serve::Response r = client.submit_watch(
+        manifest,
+        [&events](const serve::Response& ev) {
+          EXPECT_EQ(ev.id, 9u);
+          events.push_back(ev.progress);
+        },
+        "w", 0, 9);
+    ASSERT_TRUE(r.ok) << r.error << ": " << r.message;
+    EXPECT_EQ(r.report, want) << "watching must not change the report";
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events.back().done, 2);
+    std::vector<int> indices;
+    for (const runner::ProgressEvent& e : events) {
+      EXPECT_EQ(e.jobs, 2);
+      EXPECT_EQ(e.status, "ok");
+      EXPECT_GT(e.cycles, 0u);
+      EXPECT_EQ(e.threads, 2);
+      indices.push_back(e.index);
+    }
+    std::sort(indices.begin(), indices.end());
+    EXPECT_EQ(indices, (std::vector<int>{0, 1}));
+    client.shutdown();
+  }
+  serving.join();
   fs::remove_all(dir);
 }
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -179,24 +180,50 @@ TEST(ShardSelect, SelectedRunIsTheSliceOfTheFullRun) {
   EXPECT_EQ(part.jobs[1].index, 4);
 }
 
-// ---- progress lines --------------------------------------------------------
+// ---- progress events -------------------------------------------------------
 
 TEST(ShardProgress, RoundTripsNamesWithSpaces) {
   runner::JobResult j;
   j.index = 12;
   j.status = runner::JobStatus::timed_out;
-  j.name = "gemm dim=48 threads=4, blocked";
-  const std::string line = runner::format_progress_line(j);
-  int index = -1;
-  std::string status, name;
-  ASSERT_TRUE(runner::parse_progress_line(line, &index, &status, &name));
-  EXPECT_EQ(index, 12);
-  EXPECT_EQ(status, "timed_out");
-  EXPECT_EQ(name, j.name);
-  EXPECT_FALSE(runner::parse_progress_line("plain stdout chatter", &index,
-                                           &status, &name));
-  EXPECT_FALSE(runner::parse_progress_line("##hlsprof-job index=x status=ok",
-                                           &index, &status, &name));
+  for (const std::string name :
+       {"gemm dim=48 threads=4, blocked", "say \"hi\" name=x\\y",
+        "name=", " padded  \t"}) {
+    j.name = name;
+    const std::string line = runner::format_progress_event(j, 3, 9);
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    const runner::ProgressEvent e = runner::parse_progress_event(line);
+    EXPECT_EQ(e.index, 12);
+    EXPECT_EQ(e.status, "timed_out");
+    EXPECT_EQ(e.name, name);
+    EXPECT_EQ(e.done, 3);
+    EXPECT_EQ(e.jobs, 9);
+  }
+}
+
+TEST(ShardProgress, MalformedLinesAreRejectedWithByteOffset) {
+  // Truncated JSON: json_parse's message says where it stopped.
+  try {
+    runner::parse_progress_event(R"({"event":"progress","done":1,)");
+    ADD_FAILURE() << "truncated event parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(runner::parse_progress_event("plain stdout chatter"), Error);
+  EXPECT_THROW(runner::parse_progress_event(""), Error);
+  // Valid JSON that is not a progress event, or lacks a member.
+  EXPECT_THROW(runner::parse_progress_event(R"({"event":"done"})"), Error);
+  runner::JobResult j;
+  j.index = 1;
+  std::string line = runner::format_progress_event(j, 1, 1);
+  line.replace(line.find("\"bytes\""), 7, "\"bites\"");
+  EXPECT_THROW(runner::parse_progress_event(line), Error);
+  EXPECT_THROW(runner::parse_progress_event(
+                   R"({"event":"progress","done":1,"jobs":1,"index":0,)"
+                   R"("status":"ok","name":"x","cycles":1,"threads":1,)"
+                   R"("state_cycles":[1,2,3],"bytes":0})"),
+               Error);
 }
 
 // ---- report round-trip and merging -----------------------------------------
@@ -241,7 +268,7 @@ TEST(ShardMerge, DuplicateCompletionsDedupDeterministically) {
   const auto parts =
       runner::split_indices(universe, 2, runner::ShardStrategy::block);
   auto shards = run_shards_inprocess(kManifest, parts);
-  // A speculative backup delivered shard 1's jobs a second time.
+  // Shard 1's jobs delivered a second time.
   shards.push_back(shards[1]);
   int dups = -1;
   const runner::BatchResult merged =
@@ -285,10 +312,6 @@ runner::ShardOptions e2e_options(int shards) {
   o.runner_binary = HLSPROF_RUN_BIN;
   o.workers_per_shard = 1;
   o.quiet = true;
-  // No straggler speculation: under a loaded test machine a shard can
-  // exceed the wall-clock threshold and launch a backup, which keeps
-  // the output byte-identical but makes launch counts nondeterministic.
-  o.straggler_factor = 0.0;
   return o;
 }
 
@@ -317,6 +340,66 @@ TEST(ShardE2E, KilledShardIsRedispatchedAndOutputUnchanged) {
   const runner::ShardResult sharded = runner::run_sharded_text(kManifest, o);
   EXPECT_GE(sharded.shards_redispatched, 1);
   EXPECT_GE(sharded.shards_launched, 4);
+  EXPECT_EQ(canonical_report(sharded.merged, sharded.label),
+            canonical_report(single, sharded.label));
+}
+
+/// A shard-child wrapper: the first child the coordinator launches runs
+/// `first_child` (shell, with "$@" the coordinator's arguments and $1
+/// the sub-manifest), every later child is the real hlsprof-run.
+/// `mkdir` is the atomic "first child" test.
+std::string faulty_first_child(const std::string& name,
+                               const std::string& first_child) {
+  const std::string dir = fresh_dir(name);
+  const std::string path = (fs::path(dir) / "runner.sh").string();
+  {
+    std::ofstream f(path);
+    f << "#!/bin/sh\n"
+      << "RUN='" << HLSPROF_RUN_BIN << "'\n"
+      << "if mkdir '" << dir << "/first' 2>/dev/null; then\n"
+      << first_child << "\n"
+      << "fi\n"
+      << "exec \"$RUN\" \"$@\"\n";
+  }
+  fs::permissions(path, fs::perms::owner_all);
+  return path;
+}
+
+TEST(ShardE2E, RedispatchedJobIsCountedOnce) {
+  // The first child runs its jobs (streaming their progress events) and
+  // then exits 3, as if it died before its report could be read; its
+  // jobs are re-dispatched and report progress a second time.
+  const runner::BatchResult single = run_whole(kManifest);
+  runner::ShardOptions o = e2e_options(2);
+  o.runner_binary = faulty_first_child("die-after-progress",
+                                       "  \"$RUN\" \"$@\"; exit 3");
+  std::map<int, int> seen;
+  o.on_job_event = [&seen](int, const runner::ProgressEvent& e) {
+    ++seen[e.index];
+  };
+  const runner::ShardResult sharded = runner::run_sharded_text(kManifest, o);
+  EXPECT_EQ(sharded.shards_redispatched, 1);
+  EXPECT_EQ(sharded.shards_launched, 3);
+  ASSERT_EQ(seen.size(), single.jobs.size());
+  for (const auto& [index, count] : seen) {
+    EXPECT_EQ(count, 1) << "job " << index;
+  }
+  EXPECT_EQ(canonical_report(sharded.merged, sharded.label),
+            canonical_report(single, sharded.label));
+}
+
+TEST(ShardE2E, ReportWithJobsNotAskedForIsRedispatched) {
+  // The first child drops its `select` line, so it runs — and reports —
+  // every job of the manifest, including the other shard's. Its report
+  // is unreadable as a whole; its own jobs are re-dispatched.
+  const runner::BatchResult single = run_whole(kManifest);
+  runner::ShardOptions o = e2e_options(2);
+  o.runner_binary = faulty_first_child(
+      "unasked-jobs",
+      "  sed -i '/^select/d' \"$1\"; exec \"$RUN\" \"$@\"");
+  const runner::ShardResult sharded = runner::run_sharded_text(kManifest, o);
+  EXPECT_EQ(sharded.shards_redispatched, 1);
+  EXPECT_EQ(sharded.shards_launched, 3);
   EXPECT_EQ(canonical_report(sharded.merged, sharded.label),
             canonical_report(single, sharded.label));
 }

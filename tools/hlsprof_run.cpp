@@ -4,14 +4,14 @@
 //                              [--cache-dir=DIR] [--cache-max-bytes=N]
 //                              [--approx-trace]
 //                              [--canonical] [--json] [--quiet] [--progress]
-//                              [--live[=state|metrics]] [--live-lines]
-//                              [--no-color] [--shards=N] [--shard-strategy=S]
-//                              [--straggler-factor=F] [--connect=SOCKETS]
+//                              [--live[=state|metrics]] [--no-color]
+//                              [--shards=N] [--shard-strategy=S]
+//                              [--connect=SOCKETS]
 //                              [--telemetry-out=FILE] [--chrome-trace=FILE]
 //                              [--version] [--help]
 //
 //   --workers=N          override the manifest's worker count (0 = one per
-//                        core)
+//                        core; negative is a usage error)
 //   --out=PREFIX         write PREFIX.json + PREFIX.csv (overrides manifest
 //                        `out`)
 //   --seed=S             override the manifest's batch seed
@@ -30,8 +30,9 @@
 //                        cache_hit
 //   --json               print the JSON report to stdout
 //   --quiet              suppress the summary table
-//   --progress           print one line per finished job as it completes
-//                        (machine-parsable; the shard coordinator's feed)
+//   --progress           print one JSON progress event per finished job on
+//                        stdout as it completes (the shard coordinator's
+//                        feed; schema in docs/LIVE.md)
 //   --live[=MODE]        live display on stderr while the batch runs:
 //                        `state` (default) draws the in-place ASCII thread
 //                        timeline of the running job, `metrics` a one-line
@@ -39,9 +40,6 @@
 //                        TTY. In shard mode shows the per-shard fleet view.
 //                        Canonical report and trace bytes are identical
 //                        with it on or off. See docs/LIVE.md.
-//   --live-lines         print one machine-parsable `##hlsprof-live`
-//                        totals line per finished job (the fleet view's
-//                        feed; works without a TTY)
 //   --no-color           disable ANSI colors in the live display
 //                        (NO_COLOR in the environment does the same)
 //   --shards=N           split the manifest's jobs across N hlsprof-run
@@ -50,9 +48,6 @@
 //                        single-process run. Implies --canonical. See
 //                        docs/SHARDING.md.
 //   --shard-strategy=S   block | round_robin (default round_robin)
-//   --straggler-factor=F re-dispatch a shard's outstanding jobs when its
-//                        runtime exceeds F x the median finished-shard
-//                        time (default 3; 0 disables speculation)
 //   --connect=SOCKETS    comma-separated hlsprof-serve sockets: submit
 //                        shards to running daemons (round-robin) instead
 //                        of spawning child processes; implies shard mode
@@ -72,6 +67,7 @@
 // connection refused — the message names the socket path).
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -107,10 +103,9 @@ int main(int argc, char** argv) {
   std::string telemetry_out;
   std::string chrome_trace;
   std::string shard_strategy = "round_robin";
-  std::string straggler_factor_text;
   std::string connect_text;
   std::string shard_telemetry_prefix;
-  long long workers_override = -1;
+  long long workers_override = LLONG_MIN;  // LLONG_MIN = not given
   long long seed_override = -1;
   long long cache_max_bytes = -1;
   long long shards = 1;
@@ -121,7 +116,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool progress = false;
   bool live_flag = false;
-  bool live_lines = false;
   bool no_color = false;
   bool version = false;
   bool help = false;
@@ -147,22 +141,16 @@ int main(int argc, char** argv) {
       .flag("json", &print_json, "print the JSON report to stdout")
       .flag("quiet", &quiet, "suppress the summary table")
       .flag("progress", &progress,
-            "print one machine-parsable line per finished job")
+            "print one JSON progress event per finished job on stdout")
       .option_optional("live", &live_value, &live_flag,
                        "live stderr display: state (timeline, default) or "
                        "metrics (ticker); auto-off when stderr is no TTY")
-      .flag("live-lines", &live_lines,
-            "print one machine-parsable ##hlsprof-live totals line per "
-            "finished job")
       .flag("no-color", &no_color, "disable ANSI colors in the live display")
       .option_int("shards", &shards,
                   "split jobs across N child processes and merge the "
                   "reports (implies --canonical)")
       .option("shard-strategy", &shard_strategy,
               "block | round_robin (default round_robin)")
-      .option("straggler-factor", &straggler_factor_text,
-              "re-dispatch a shard past F x the median shard time "
-              "(default 3, 0 = off)")
       .option("connect", &connect_text,
               "comma-separated hlsprof-serve sockets to submit shards to "
               "(daemon mode)")
@@ -193,13 +181,17 @@ int main(int argc, char** argv) {
     return usage(parser, stderr);
   }
   const std::string manifest_path = parser.positionals().front();
+  if (workers_override != LLONG_MIN && workers_override < 0) {
+    std::fprintf(stderr, "hlsprof-run: --workers must be >= 0\n");
+    return usage(parser, stderr);
+  }
 
   live::LiveMode live_mode = live::LiveMode::off;
   if (live_flag && !live::parse_live_mode(live_value, &live_mode)) {
     std::fprintf(stderr, "hlsprof-run: --live must be 'state' or 'metrics'\n");
     return usage(parser, stderr);
   }
-  // The human display needs a terminal; the machine channel does not.
+  // The human display needs a terminal.
   const bool live_tty = ::isatty(::fileno(stderr)) != 0;
   const bool live_display = live_mode != live::LiveMode::off && live_tty &&
                             !quiet;
@@ -222,14 +214,6 @@ int main(int argc, char** argv) {
     sopts.shards = int(shards < 1 ? 1 : shards);
     try {
       sopts.strategy = runner::shard_strategy_from_name(shard_strategy);
-      if (!straggler_factor_text.empty()) {
-        std::size_t used = 0;
-        sopts.straggler_factor = std::stod(straggler_factor_text, &used);
-        if (used != straggler_factor_text.size() ||
-            sopts.straggler_factor < 0) {
-          throw Error("--straggler-factor must be a non-negative number");
-        }
-      }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
       return usage(parser, stderr);
@@ -284,39 +268,20 @@ int main(int argc, char** argv) {
     const bool merged_chrome = !chrome_trace.empty() && sopts.connect.empty();
     if (merged_chrome) sopts.chrome_trace_out = chrome_trace;
 
-    // Fleet live view: children emit ##hlsprof-live totals lines on their
-    // progress pipes; the coordinator aggregates them per shard.
+    // Fleet live view: one lane per shard, folded from the progress
+    // events the children already stream to the coordinator.
     std::unique_ptr<live::FleetView> fleet;
-    std::mutex fleet_line_mu;
-    if ((live_mode != live::LiveMode::off || live_lines) &&
-        sopts.connect.empty()) {
-      sopts.child_live_lines = true;
+    if (live_display && sopts.connect.empty()) {
       live::FleetOptions fopts;
-      if (live_display) {
-        fopts.display = stderr;
-        fopts.in_place = true;
-      }
+      fopts.display = stderr;
       fleet = std::make_unique<live::FleetView>(sopts.shards, fopts);
-      live::FleetView* fleet_ptr = fleet.get();
-      const bool emit_fleet_lines = live_lines;
-      sopts.on_child_line = [fleet_ptr, emit_fleet_lines, &fleet_line_mu](
-                                int shard, const std::string& line) {
-        live::LiveLine l;
-        if (!live::parse_live_line(line, &l)) return;
-        fleet_ptr->update(shard, l);
-        if (emit_fleet_lines) {
-          const std::string out =
-              live::format_live_line(fleet_ptr->merged()) + "\n";
-          std::lock_guard<std::mutex> lock(fleet_line_mu);
-          std::fwrite(out.data(), 1, out.size(), stdout);
-          std::fflush(stdout);
-        }
+      sopts.on_job_event = [fleet_ptr = fleet.get()](
+                               int shard, const runner::ProgressEvent& e) {
+        fleet_ptr->update(shard, e);
       };
-      if (live_display) {
-        // The in-place fleet frame replaces per-job chatter; dropping the
-        // progress batches keeps the frame intact.
-        sopts.emit_progress = [](const std::string&) {};
-      }
+      // The in-place fleet frame replaces per-job chatter; dropping the
+      // progress batches keeps the frame intact.
+      sopts.emit_progress = [](const std::string&) {};
     }
 
     runner::ShardResult sharded;
@@ -332,11 +297,8 @@ int main(int argc, char** argv) {
     if (fleet) fleet->finish();
     coordinator_wrote_chrome = merged_chrome;
     if (!quiet) {
-      std::fprintf(stderr,
-                   "hlsprof-run: %d shards (%d re-dispatched, %d duplicate "
-                   "jobs dropped)\n",
-                   sharded.shards_launched, sharded.shards_redispatched,
-                   sharded.duplicate_jobs);
+      std::fprintf(stderr, "hlsprof-run: %d shards (%d re-dispatched)\n",
+                   sharded.shards_launched, sharded.shards_redispatched);
     }
     result = std::move(sharded.merged);
     ropts.canonical = true;
@@ -351,7 +313,9 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    if (workers_override >= 0) run.options.workers = int(workers_override);
+    if (workers_override != LLONG_MIN) {
+      run.options.workers = int(workers_override);
+    }
     if (seed_override >= 0) run.options.seed = std::uint64_t(seed_override);
     if (approx_trace) runner::apply_approx_trace(run);
     if (!out_override.empty()) run.out_prefix = out_override;
@@ -359,34 +323,40 @@ int main(int argc, char** argv) {
     if (cache_max_bytes >= 0) {
       run.options.cache_max_bytes = std::uint64_t(cache_max_bytes);
     }
+    // Live observer: the timeline display tees the decoded record stream
+    // of the job holding the display slot; totals fold from on_job_done.
+    // Canonical report and trace bytes are identical with it on or off.
+    // Under `select` (a shard child) only the selected slice runs.
+    const int jobs_total = int(run.options.select.empty()
+                                   ? run.batch.size()
+                                   : run.options.select.size());
+    std::unique_ptr<live::BatchLiveReporter> reporter;
+    if (live_display) {
+      live::ReporterOptions lopts;
+      lopts.mode = live_mode;
+      lopts.display = stderr;
+      lopts.color = live_color;
+      lopts.jobs_total = std::size_t(jobs_total);
+      reporter = std::make_unique<live::BatchLiveReporter>(lopts);
+      run.options.observer = reporter.get();
+    }
     std::mutex progress_mu;
-    if (progress) {
-      run.options.on_job_done = [&progress_mu](const runner::JobResult& j) {
+    int progress_done = 0;
+    if (progress || reporter) {
+      run.options.on_job_done = [&progress_mu, &progress_done, jobs_total,
+                                 progress, rep = reporter.get()](
+                                    const runner::JobResult& j) {
+        if (rep != nullptr) rep->on_job_done(j);
+        if (!progress) return;
         // One flushed line per job so a piped consumer (the shard
         // coordinator) sees completions as they happen.
         std::lock_guard<std::mutex> lock(progress_mu);
-        std::fputs((runner::format_progress_line(j) + "\n").c_str(), stdout);
+        const std::string line =
+            runner::format_progress_event(j, ++progress_done, jobs_total) +
+            "\n";
+        std::fputs(line.c_str(), stdout);
         std::fflush(stdout);
       };
-    }
-
-    // Live observer: a pure tee off the decoded record stream — the
-    // canonical report and trace bytes are identical with it on or off.
-    std::unique_ptr<live::BatchLiveReporter> reporter;
-    if (live_mode != live::LiveMode::off || live_lines) {
-      live::ReporterOptions lopts;
-      lopts.mode = live_mode;
-      if (live_display) {
-        lopts.display = stderr;
-        lopts.color = live_color;
-      }
-      if (live_lines) lopts.line_out = stdout;
-      // Under `select` (a shard child) only the selected slice runs.
-      lopts.jobs_total = run.options.select.empty()
-                             ? run.batch.size()
-                             : run.options.select.size();
-      reporter = std::make_unique<live::BatchLiveReporter>(lopts);
-      run.options.observer = reporter.get();
     }
 
     try {

@@ -245,8 +245,9 @@ int main(int argc, char** argv) {
           ss.str(),
           [quiet](const serve::Response& ev) {
             if (quiet) return;
-            std::fprintf(stderr, "[%d/%d] %s %s\n", ev.done, ev.jobs,
-                         ev.name.c_str(), ev.status.c_str());
+            std::fprintf(stderr, "[%d/%d] %s %s\n", ev.progress.done,
+                         ev.progress.jobs, ev.progress.name.c_str(),
+                         ev.progress.status.c_str());
           },
           client_name, int(priority));
     } else {
