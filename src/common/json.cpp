@@ -1,6 +1,8 @@
 #include "common/json.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/error.hpp"
 
@@ -510,11 +512,15 @@ class JsonParser {
         }
       }
     }
-    try {
-      return JsonValue::make_number(std::stod(token));
-    } catch (const std::exception&) {
+    // strtod, not stod: a subnormal (which the writer's %.17g can emit)
+    // sets ERANGE but is still the correctly rounded value. Only overflow
+    // is rejected.
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size() || std::isinf(v)) {
       err("bad number");
     }
+    return JsonValue::make_number(v);
   }
 
   std::string_view text_;

@@ -27,16 +27,16 @@ const char* live_mode_name(LiveMode m) {
   return "?";
 }
 
-void LiveTotals::add(const runner::ProgressEvent& e) {
+void LiveTotals::add(const runner::JobResult& job) {
   ++jobs_done;
-  jobs_total = std::max(jobs_total, std::size_t(std::max(e.jobs, 0)));
-  if (e.status != runner::job_status_name(runner::JobStatus::ok)) return;
-  cycles += e.cycles;
-  thread_cycles += e.cycles * std::uint64_t(std::max(e.threads, 0));
+  if (job.status != runner::JobStatus::ok) return;
+  cycles += job.timeline_cycles;
+  thread_cycles +=
+      job.timeline_cycles * std::uint64_t(std::max(job.num_threads, 0));
   for (std::size_t s = 0; s < state_cycles.size(); ++s) {
-    state_cycles[s] += e.state_cycles[s];
+    state_cycles[s] += job.state_cycles[s];
   }
-  bytes += e.bytes;
+  bytes += job.trace_mem_bytes;
 }
 
 LiveTotals& LiveTotals::operator+=(const LiveTotals& o) {
@@ -108,8 +108,7 @@ void BatchLiveReporter::end_job(int index) {
 
 void BatchLiveReporter::on_job_done(const runner::JobResult& job) {
   std::lock_guard<std::mutex> lock(mu_);
-  totals_.add(runner::ProgressEvent::of(job, int(totals_.jobs_done) + 1,
-                                        int(totals_.jobs_total)));
+  totals_.add(job);
   if (opts_.display != nullptr && opts_.mode == LiveMode::metrics) {
     const std::string line = "\r\x1b[2K" + format_live_summary(totals_);
     std::fwrite(line.data(), 1, line.size(), opts_.display);
@@ -146,7 +145,10 @@ void FleetView::update(int shard, const runner::ProgressEvent& e) {
     // their own lane rather than dropping their totals.
     lanes_.resize(std::size_t(shard) + 1);
   }
-  lanes_[std::size_t(shard)].add(e);
+  LiveTotals& lane = lanes_[std::size_t(shard)];
+  lane.jobs_total =
+      std::max(lane.jobs_total, std::size_t(std::max(e.jobs, 0)));
+  lane.add(e.job);
   if (opts_.display == nullptr) return;
   const auto now = std::chrono::steady_clock::now();
   if (rendered_once_) {

@@ -1,5 +1,5 @@
-// Batch- and fleet-level live reporting, folded from the per-job
-// progress event (runner/progress.hpp):
+// Batch- and fleet-level live reporting, folded from each finished job's
+// record (runner::JobResult, the "job" of a progress event):
 //
 //  * BatchLiveReporter — folds every finished job of a batch into
 //    integer LiveTotals (fed from runner::BatchOptions::on_job_done) and
@@ -35,10 +35,10 @@ enum class LiveMode { off, state, metrics };
 bool parse_live_mode(const std::string& s, LiveMode* out);
 const char* live_mode_name(LiveMode m);
 
-/// Run totals folded from progress events. Every event counts as done;
-/// only ok jobs add cycles, state cycles and bytes. All members are exact
+/// Run totals folded from finished jobs. Every job counts as done; only
+/// ok jobs add cycles, state cycles and bytes. All members are exact
 /// integers and the shares are derived on demand, so totals from several
-/// processes merge without loss (+=).
+/// processes merge without loss (+=). jobs_total is set by the owner.
 struct LiveTotals {
   std::size_t jobs_done = 0;
   std::size_t jobs_total = 0;
@@ -47,7 +47,7 @@ struct LiveTotals {
   std::array<std::uint64_t, 4> state_cycles{};  // per sim::ThreadState
   std::uint64_t bytes = 0;          // DRAM bytes read + written
 
-  void add(const runner::ProgressEvent& e);
+  void add(const runner::JobResult& job);
   LiveTotals& operator+=(const LiveTotals& o);
 
   /// Aggregate share of thread-cycles spent in sim::ThreadState `s`.
@@ -116,8 +116,8 @@ class FleetView {
  public:
   FleetView(int num_shards, FleetOptions opts);
 
-  /// Fold one of shard `shard`'s events into its lane and (throttled)
-  /// redraw.
+  /// Fold one of shard `shard`'s events into its lane (the event's
+  /// "jobs" is the lane's total) and (throttled) redraw.
   void update(int shard, const runner::ProgressEvent& e);
 
   LiveTotals merged() const;

@@ -1,6 +1,7 @@
 #include "paraver/analysis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -50,11 +51,12 @@ double gflops(long long fp_ops, cycle_t cycles, double fmax_mhz) {
 }
 
 StateSummary summarize_states(const TimedTrace& t) {
+  const std::array<cycle_t, 4> totals = t.state_totals();
   StateSummary s;
-  s.idle = t.state_fraction(sim::ThreadState::idle);
-  s.running = t.state_fraction(sim::ThreadState::running);
-  s.critical = t.state_fraction(sim::ThreadState::critical);
-  s.spinning = t.state_fraction(sim::ThreadState::spinning);
+  s.idle = t.state_share(totals[0]);
+  s.running = t.state_share(totals[1]);
+  s.critical = t.state_share(totals[2]);
+  s.spinning = t.state_share(totals[3]);
   return s;
 }
 

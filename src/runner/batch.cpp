@@ -39,15 +39,10 @@ void fill_metrics(JobResult& out, const core::Session& session,
 
   out.has_trace = r.has_trace;
   if (r.has_trace) {
-    // One pass over the intervals yields the exact per-state sums; the
-    // report shares divide them exactly as TimedTrace::state_fraction
-    // does, so report bytes equal paraver::summarize_states'.
+    // The report shares come from the same pass and the same division
+    // as paraver::summarize_states, so their bytes are equal.
     const trace::TimedTrace& t = r.timeline;
-    for (const auto& lane : t.thread_states) {
-      for (const trace::StateInterval& iv : lane) {
-        out.state_cycles[std::size_t(iv.state)] += iv.end - iv.begin;
-      }
-    }
+    out.state_cycles = t.state_totals();
     for (const trace::EventSample& e : t.events) {
       if (e.kind == trace::EventKind::bytes_read ||
           e.kind == trace::EventKind::bytes_written) {
@@ -55,14 +50,10 @@ void fill_metrics(JobResult& out, const core::Session& session,
       }
     }
     out.timeline_cycles = t.duration;
-    const auto share = [&t](cycle_t cycles) {
-      if (t.duration == 0 || t.num_threads == 0) return 0.0;
-      return double(cycles) / (double(t.duration) * double(t.num_threads));
-    };
-    out.state_idle = share(out.state_cycles[0]);
-    out.state_running = share(out.state_cycles[1]);
-    out.state_critical = share(out.state_cycles[2]);
-    out.state_spinning = share(out.state_cycles[3]);
+    out.state_idle = t.state_share(out.state_cycles[0]);
+    out.state_running = t.state_share(out.state_cycles[1]);
+    out.state_critical = t.state_share(out.state_cycles[2]);
+    out.state_spinning = t.state_share(out.state_cycles[3]);
     out.state_records = r.state_records;
     out.event_records = r.event_records;
     out.flush_bursts = r.flush_bursts;

@@ -56,10 +56,14 @@ const std::vector<std::string> kIntKeys = {
     "thread_start_interval", "max_cycles", "cache_max_bytes"};
 
 // Integer keys whose smaller values mean nothing (a negative worker
-// count, a zero-line trace buffer): rejected with the key's line.
+// count, a zero-line trace buffer, a zero-thread design):
+// rejected with the key's line.
 const std::vector<std::pair<std::string, std::int64_t>> kIntMinimums = {
-    {"workers", 0},    {"sampling_period", 0}, {"buffer_lines", 1},
-    {"max_cycles", 0}, {"cache_max_bytes", 0}};
+    {"workers", 0},      {"sampling_period", 0}, {"buffer_lines", 1},
+    {"max_cycles", 0},   {"cache_max_bytes", 0}, {"threads", 1},
+    {"dim", 1},          {"steps", 1},           {"n", 1},
+    {"block", 1},        {"vector_len", 1},      {"unroll", 1},
+    {"seed", 0},         {"thread_start_interval", -1}};
 
 const std::vector<std::string> kOnOffKeys = {"profiling", "verify",
                                              "thread_reordering",

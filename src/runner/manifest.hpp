@@ -39,6 +39,11 @@ struct ManifestRun {
   BatchOptions options;
   std::string label;       // defaults to the workload name
   std::string out_prefix;  // empty = caller decides (stdout only)
+
+  /// Jobs a run executes: the `select` subset, else the whole batch.
+  int job_count() const {
+    return int(options.select.empty() ? batch.size() : options.select.size());
+  }
 };
 
 /// Parse manifest text. Throws hlsprof::Error on unknown keys, malformed

@@ -1,6 +1,7 @@
 #include "runner/progress.hpp"
 
 #include "common/error.hpp"
+#include "runner/report.hpp"
 
 namespace hlsprof::runner {
 
@@ -16,39 +17,24 @@ const JsonValue& member(const JsonValue& v, const char* key) {
 
 }  // namespace
 
-ProgressEvent ProgressEvent::of(const JobResult& job, int done, int jobs) {
-  ProgressEvent e;
-  e.done = done;
-  e.jobs = jobs;
-  e.index = job.index;
-  e.status = job_status_name(job.status);
-  e.name = job.name;
-  e.cycles = job.timeline_cycles;
-  e.threads = job.num_threads;
-  e.state_cycles = job.state_cycles;
-  e.bytes = job.trace_mem_bytes;
-  return e;
-}
-
-void write_progress_event(JsonWriter& w, const ProgressEvent& e) {
+void write_progress_event(JsonWriter& w, const JobResult& job, int done,
+                          int jobs) {
   w.field("event", "progress");
-  w.field("done", e.done);
-  w.field("jobs", e.jobs);
-  w.field("index", e.index);
-  w.field("status", e.status);
-  w.field("name", e.name);
-  w.field("cycles", e.cycles);
-  w.field("threads", e.threads);
+  w.field("done", done);
+  w.field("jobs", jobs);
+  w.key("job");
+  write_job_json(w, job);
+  w.field("cycles", job.timeline_cycles);
   w.key("state_cycles").begin_array();
-  for (const std::uint64_t c : e.state_cycles) w.value(c);
+  for (const cycle_t c : job.state_cycles) w.value(c);
   w.end_array();
-  w.field("bytes", e.bytes);
+  w.field("bytes", job.trace_mem_bytes);
 }
 
 std::string format_progress_event(const JobResult& job, int done, int jobs) {
   JsonWriter w;
   w.begin_object();
-  write_progress_event(w, ProgressEvent::of(job, done, jobs));
+  write_progress_event(w, job, done, jobs);
   w.end_object();
   return w.str();
 }
@@ -61,19 +47,16 @@ ProgressEvent parse_progress_event(const JsonValue& v) {
   ProgressEvent e;
   e.done = int(member(v, "done").as_int64());
   e.jobs = int(member(v, "jobs").as_int64());
-  e.index = int(member(v, "index").as_int64());
-  e.status = member(v, "status").as_string();
-  e.name = member(v, "name").as_string();
-  e.cycles = member(v, "cycles").as_uint64();
-  e.threads = int(member(v, "threads").as_int64());
+  e.job = parse_job_json(member(v, "job"));
+  e.job.timeline_cycles = member(v, "cycles").as_uint64();
   const auto& states = member(v, "state_cycles").items();
-  if (states.size() != e.state_cycles.size()) {
+  if (states.size() != e.job.state_cycles.size()) {
     fail("progress event: \"state_cycles\" must have 4 entries");
   }
   for (std::size_t s = 0; s < states.size(); ++s) {
-    e.state_cycles[s] = states[s].as_uint64();
+    e.job.state_cycles[s] = states[s].as_uint64();
   }
-  e.bytes = member(v, "bytes").as_uint64();
+  e.job.trace_mem_bytes = member(v, "bytes").as_uint64();
   return e;
 }
 

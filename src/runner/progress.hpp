@@ -1,22 +1,22 @@
 // The per-job progress event: one single-line JSON object per finished
 // job, the only progress format in the tree. `hlsprof-run --progress`
-// prints it on stdout (the shard coordinator's feed from its children),
-// and `hlsprof-serve` streams it to watch clients with the request "id"
-// added. Schema (docs/LIVE.md):
+// prints it on stdout (the shard coordinator's feed from its children:
+// it merges each job from the event alone), and `hlsprof-serve` streams
+// it to watch clients with the request "id" added. Schema (docs/LIVE.md):
 //
-//   {"event":"progress","done":2,"jobs":3,"index":1,"status":"ok",
-//    "name":"pi.steps=4000","cycles":231072,"threads":8,
-//    "state_cycles":[1024,1700000,0,147552],"bytes":98304}
+//   {"event":"progress","done":2,"jobs":3,"job":{<job record>},
+//    "cycles":231072,"state_cycles":[1024,1700000,0,147552],"bytes":98304}
 //
-// `cycles` is the job's timeline duration, `state_cycles` the cycles all
-// threads spent idle / running / critical / spinning, and `bytes` the
-// DRAM bytes read + written per the trace — exact integers, so totals
-// folded from events (live::LiveTotals) lose nothing. All three are 0
-// when profiling was off.
+// "job" is the canonical job record (report.hpp write_job_json), the
+// same object a canonical report's "jobs" array holds. After it come
+// three trace totals that report rows do not carry: `cycles` is the job's
+// timeline duration, `state_cycles` the cycles all threads spent idle /
+// running / critical / spinning, and `bytes` the DRAM bytes read +
+// written per the trace — exact integers, so totals folded from events
+// (live::LiveTotals) lose nothing. All three are 0 when profiling was
+// off.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -28,20 +28,13 @@ namespace hlsprof::runner {
 struct ProgressEvent {
   int done = 0;  // jobs finished so far, this one included
   int jobs = 0;  // jobs in the run
-  int index = -1;
-  std::string status;
-  std::string name;
-  std::uint64_t cycles = 0;
-  int threads = 0;
-  std::array<std::uint64_t, 4> state_cycles{};
-  std::uint64_t bytes = 0;
-
-  static ProgressEvent of(const JobResult& job, int done, int jobs);
+  JobResult job;
 };
 
 /// Write the event's members into an already open JSON object, so a
 /// wrapper (the serve protocol) can add its own members around them.
-void write_progress_event(JsonWriter& w, const ProgressEvent& e);
+void write_progress_event(JsonWriter& w, const JobResult& job, int done,
+                          int jobs);
 
 /// The event as one JSON line (no trailing newline).
 std::string format_progress_event(const JobResult& job, int done, int jobs);

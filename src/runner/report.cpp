@@ -4,14 +4,11 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace hlsprof::runner {
 
-namespace {
-
-void job_json(JsonWriter& w, const JobResult& j, bool canonical) {
+void write_job_json(JsonWriter& w, const JobResult& j, bool canonical) {
   w.begin_object();
   w.field("index", j.index);
   w.field("name", j.name);
@@ -54,7 +51,71 @@ void job_json(JsonWriter& w, const JobResult& j, bool canonical) {
   w.end_object();
 }
 
+namespace {
+
+const JsonValue& need(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) fail(strf("job record: missing member \"%s\"", key));
+  return *v;
+}
+
+JobStatus status_from_name(const std::string& name) {
+  for (JobStatus s :
+       {JobStatus::ok, JobStatus::failed, JobStatus::timed_out}) {
+    if (name == job_status_name(s)) return s;
+  }
+  fail("job record: unknown status \"" + name + "\"");
+}
+
+std::uint64_t key_from_hex(const std::string& hex) {
+  try {
+    std::size_t used = 0;
+    const unsigned long long v = std::stoull(hex, &used, 16);
+    if (used == hex.size() && !hex.empty()) return v;
+  } catch (const std::exception&) {
+  }
+  fail("job record: malformed design_key \"" + hex + "\"");
+}
+
 }  // namespace
+
+JobResult parse_job_json(const JsonValue& v) {
+  if (!v.is_object()) fail("job record: not a JSON object");
+  JobResult j;
+  j.index = int(need(v, "index").as_int64());
+  j.name = need(v, "name").as_string();
+  j.status = status_from_name(need(v, "status").as_string());
+  if (const JsonValue* e = v.find("error")) j.error = e->as_string();
+  j.seed = need(v, "seed").as_uint64();
+  j.design_key = key_from_hex(need(v, "design_key").as_string());
+  const JsonValue& design = need(v, "design");
+  j.fmax_mhz = need(design, "fmax_mhz").as_double();
+  j.alm = need(design, "alm").as_double();
+  j.bram_bits = need(design, "bram_bits").as_double();
+  j.num_threads = int(need(design, "num_threads").as_int64());
+  const JsonValue& run = need(v, "run");
+  j.total_cycles = cycle_t(need(run, "total_cycles").as_uint64());
+  j.kernel_cycles = cycle_t(need(run, "kernel_cycles").as_uint64());
+  j.stall_cycles = cycle_t(need(run, "stall_cycles").as_uint64());
+  j.fp_ops = need(run, "fp_ops").as_int64();
+  j.gflops = need(run, "gflops").as_double();
+  j.row_hit_rate = need(run, "row_hit_rate").as_double();
+  const JsonValue& trace = need(v, "trace");
+  j.has_trace = need(trace, "has_trace").as_bool();
+  j.state_idle = need(trace, "state_idle").as_double();
+  j.state_running = need(trace, "state_running").as_double();
+  j.state_critical = need(trace, "state_critical").as_double();
+  j.state_spinning = need(trace, "state_spinning").as_double();
+  j.state_records = need(trace, "state_records").as_int64();
+  j.event_records = need(trace, "event_records").as_int64();
+  j.flush_bursts = need(trace, "flush_bursts").as_int64();
+  j.trace_bytes = need(trace, "trace_bytes").as_uint64();
+  j.peak_trace_buffer_bytes =
+      need(trace, "peak_trace_buffer_bytes").as_uint64();
+  j.overhead_alm_pct = need(trace, "overhead_alm_pct").as_double();
+  j.overhead_register_pct = need(trace, "overhead_register_pct").as_double();
+  return j;
+}
 
 std::string report_json(const BatchResult& result,
                         const ReportOptions& options) {
@@ -76,7 +137,9 @@ std::string report_json(const BatchResult& result,
     w.field("wall_ms", result.wall_ms);
   }
   w.key("jobs").begin_array();
-  for (const JobResult& j : result.jobs) job_json(w, j, options.canonical);
+  for (const JobResult& j : result.jobs) {
+    write_job_json(w, j, options.canonical);
+  }
   w.end_array();
   w.end_object();
   return w.str();

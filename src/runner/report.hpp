@@ -8,9 +8,21 @@
 
 #include <string>
 
+#include "common/json.hpp"
 #include "runner/batch.hpp"
 
 namespace hlsprof::runner {
+
+/// The one per-job record: the object a report's "jobs" array holds, and
+/// the "job" member of every progress event (progress.hpp). Written into
+/// `w` as one JSON object; `canonical` omits cache_hit and wall_ms.
+void write_job_json(JsonWriter& w, const JobResult& j, bool canonical = true);
+
+/// Read a canonical record back: the exact inverse of write_job_json
+/// (uint64 seed, hex design key, %.17g doubles); cache_hit and wall_ms,
+/// if present, are ignored. Throws hlsprof::Error on a missing or
+/// ill-typed member or an unknown status.
+JobResult parse_job_json(const JsonValue& v);
 
 struct ReportOptions {
   /// true: omit wall_ms, workers, and per-job cache_hit — every remaining

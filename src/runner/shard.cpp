@@ -19,12 +19,9 @@
 #include <sstream>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
-#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "runner/manifest.hpp"
 #include "runner/pool.hpp"
@@ -54,63 +51,14 @@ std::string read_file_or_empty(const std::string& path) {
   return ss.str();
 }
 
-const JsonValue& need(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) {
-    fail(strf("shard: report is missing field \"%s\"", key));
-  }
-  return *v;
-}
-
-JobStatus status_from_name(const std::string& name) {
-  for (JobStatus s :
-       {JobStatus::ok, JobStatus::failed, JobStatus::timed_out}) {
-    if (name == job_status_name(s)) return s;
-  }
-  fail("shard: report has unknown job status \"" + name + "\"");
-}
-
-std::uint64_t key_from_hex(const std::string& hex) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(hex, &used, 16);
-    if (used == hex.size() && !hex.empty()) return v;
-  } catch (const std::exception&) {
-  }
-  fail("shard: report has malformed design_key \"" + hex + "\"");
-}
-
 }  // namespace
 
-ShardStrategy shard_strategy_from_name(const std::string& name) {
-  if (name == "block") return ShardStrategy::block;
-  if (name == "round_robin" || name == "round-robin") {
-    return ShardStrategy::round_robin;
-  }
-  fail("shard: unknown strategy \"" + name +
-       "\" (expected block or round_robin)");
-}
-
 std::vector<std::vector<int>> split_indices(const std::vector<int>& universe,
-                                            int shards,
-                                            ShardStrategy strategy) {
+                                            int shards) {
   HLSPROF_CHECK(shards >= 1, "shard: shard count must be >= 1");
-  std::vector<std::vector<int>> out;
-  out.resize(std::size_t(shards));
-  if (strategy == ShardStrategy::round_robin) {
-    for (std::size_t i = 0; i < universe.size(); ++i) {
-      out[i % std::size_t(shards)].push_back(universe[i]);
-    }
-    return out;
-  }
-  // block: contiguous chunks, the first (size % shards) chunks one longer.
-  const std::size_t base = universe.size() / std::size_t(shards);
-  std::size_t extra = universe.size() % std::size_t(shards);
-  std::size_t pos = 0;
-  for (auto& chunk : out) {
-    std::size_t n = base + (extra > 0 ? 1 : 0);
-    if (extra > 0) --extra;
-    for (std::size_t k = 0; k < n; ++k) chunk.push_back(universe[pos++]);
+  std::vector<std::vector<int>> out(static_cast<std::size_t>(shards));
+  for (std::size_t i = 0; i < universe.size(); ++i) {
+    out[i % std::size_t(shards)].push_back(universe[i]);
   }
   return out;
 }
@@ -143,111 +91,26 @@ std::string make_sub_manifest(const std::string& manifest_text,
   return out;
 }
 
-std::vector<JobResult> parse_report_jobs(
-    const std::string& report_json_text) {
-  const JsonValue doc = json_parse(report_json_text);
-  const std::string& schema = need(doc, "schema").as_string();
-  if (schema != "hlsprof-batch-report") {
-    fail("shard: unexpected report schema \"" + schema + "\"");
-  }
-  std::vector<JobResult> out;
-  for (const JsonValue& jv : need(doc, "jobs").items()) {
-    JobResult j;
-    j.index = int(need(jv, "index").as_int64());
-    j.name = need(jv, "name").as_string();
-    j.status = status_from_name(need(jv, "status").as_string());
-    if (const JsonValue* e = jv.find("error")) j.error = e->as_string();
-    j.seed = need(jv, "seed").as_uint64();
-    j.design_key = key_from_hex(need(jv, "design_key").as_string());
-    const JsonValue& design = need(jv, "design");
-    j.fmax_mhz = need(design, "fmax_mhz").as_double();
-    j.alm = need(design, "alm").as_double();
-    j.bram_bits = need(design, "bram_bits").as_double();
-    j.num_threads = int(need(design, "num_threads").as_int64());
-    const JsonValue& run = need(jv, "run");
-    j.total_cycles = cycle_t(need(run, "total_cycles").as_uint64());
-    j.kernel_cycles = cycle_t(need(run, "kernel_cycles").as_uint64());
-    j.stall_cycles = cycle_t(need(run, "stall_cycles").as_uint64());
-    j.fp_ops = need(run, "fp_ops").as_int64();
-    j.gflops = need(run, "gflops").as_double();
-    j.row_hit_rate = need(run, "row_hit_rate").as_double();
-    const JsonValue& trace = need(jv, "trace");
-    j.has_trace = need(trace, "has_trace").as_bool();
-    j.state_idle = need(trace, "state_idle").as_double();
-    j.state_running = need(trace, "state_running").as_double();
-    j.state_critical = need(trace, "state_critical").as_double();
-    j.state_spinning = need(trace, "state_spinning").as_double();
-    j.state_records = need(trace, "state_records").as_int64();
-    j.event_records = need(trace, "event_records").as_int64();
-    j.flush_bursts = need(trace, "flush_bursts").as_int64();
-    j.trace_bytes = need(trace, "trace_bytes").as_uint64();
-    j.peak_trace_buffer_bytes =
-        need(trace, "peak_trace_buffer_bytes").as_uint64();
-    j.overhead_alm_pct = need(trace, "overhead_alm_pct").as_double();
-    j.overhead_register_pct =
-        need(trace, "overhead_register_pct").as_double();
-    out.push_back(std::move(j));
-  }
-  return out;
-}
-
-BatchResult merge_job_results(
-    const std::vector<std::vector<JobResult>>& per_shard,
-    const std::vector<int>& expected_indices, int* duplicates) {
-  std::unordered_map<int, std::size_t> slot_of;
-  slot_of.reserve(expected_indices.size());
-  for (std::size_t k = 0; k < expected_indices.size(); ++k) {
-    slot_of.emplace(expected_indices[k], k);
-  }
-  BatchResult merged;
-  merged.jobs.resize(expected_indices.size());
-  std::unordered_set<int> remaining(expected_indices.begin(),
-                                    expected_indices.end());
-  int dups = 0;
-  for (const auto& shard_jobs : per_shard) {
-    for (const JobResult& j : shard_jobs) {
-      const auto it = slot_of.find(j.index);
-      if (it == slot_of.end()) {
-        fail(strf("shard: merged report contains unexpected job index %d",
-                  j.index));
-      }
-      if (remaining.erase(j.index) == 0) {
-        ++dups;  // a later byte-identical copy; first one already won
-        continue;
-      }
-      merged.jobs[it->second] = j;
-    }
-  }
-  if (!remaining.empty()) {
-    int lowest = *remaining.begin();
-    for (int i : remaining) lowest = std::min(lowest, i);
-    fail(strf("shard: no shard delivered job index %d (%zu missing)",
-              lowest, remaining.size()));
-  }
-  rebase_cache_stats(merged);
-  if (duplicates != nullptr) *duplicates = dups;
-  return merged;
-}
-
 namespace {
 
+/// One message from a shard's reader thread to the coordinator thread.
 struct Event {
-  enum class Kind { job_done, shard_exit };
-  Kind kind = Kind::job_done;
+  enum class Kind {
+    job,    // a progress event: one finished job's record
+    fault,  // the stream carried something that is not a progress event
+    exit,   // the shard is done streaming (process exited / daemon answered)
+  };
+  Kind kind = Kind::job;
   int shard = 0;
-  // job_done
-  ProgressEvent job;
-  // shard_exit
-  bool ok = false;
-  std::string report;  // canonical report JSON when ok
-  std::string error;
+  ProgressEvent progress;  // job
+  std::string error;       // fault: why; exit: why, empty for a clean exit
 };
 
-/// The coordinator's one stderr funnel (ISSUE: merged progress lines
-/// must never tear mid-line). Lines accumulate into a pending buffer
-/// under a mutex and are flushed as a single fwrite per event-loop
-/// drain, so output from the coordinator interleaves with the childrens'
-/// inherited stderr only at batch boundaries, never inside a line.
+/// The coordinator's one stderr funnel: merged progress lines must never
+/// tear mid-line. Lines accumulate into a pending buffer under a mutex
+/// and are flushed as a single fwrite per event-loop drain, so output
+/// from the coordinator interleaves with the childrens' inherited stderr
+/// only at batch boundaries, never inside a line.
 class ProgressWriter {
  public:
   explicit ProgressWriter(
@@ -309,6 +172,9 @@ struct Shard {
   int pid = -1;  // process mode; -1 in daemon mode
   std::chrono::steady_clock::time_point start;
   bool exited = false;
+  /// Streamed something it should not have; its jobs were handed to a
+  /// replacement and the rest of its stream is ignored.
+  bool faulty = false;
   /// Launch time on the coordinator's telemetry clock (µs since the
   /// registry epoch): the offset that rebases this child's trace onto
   /// the fleet timeline.
@@ -352,12 +218,12 @@ class Coordinator {
   void launch(std::vector<int> indices);
   void launch_process_shard(Shard& s);
   void launch_daemon_shard(Shard& s);
-  void handle_event(const Event& e);
-  void handle_exit(const Event& e);
-  void redispatch(const Shard& from, std::vector<int> outstanding,
-                  const std::string& why);
+  void handle_event(Event& e);
+  void merge(Shard& s, ProgressEvent e);
+  void fault(Shard& s, const std::string& why);
+  void handle_exit(Shard& s, const std::string& error);
+  void release(const Shard& s, const std::string& why);
   void kill_running();
-  std::vector<int> outstanding_of(const Shard& s) const;
   double elapsed_ms(clock::time_point since) const {
     return std::chrono::duration<double, std::milli>(clock::now() - since)
         .count();
@@ -379,8 +245,9 @@ class Coordinator {
   std::vector<int> universe_;  // indices the merged result must cover
   std::unordered_map<int, std::size_t> slot_of_;
   std::vector<JobResult> slots_;
-  std::unordered_set<int> remaining_;
-  std::unordered_set<int> progressed_;  // distinct indices seen on pipes
+  /// Per slot: id of the live shard that owns the job, -1 once merged.
+  std::vector<int> owner_;
+  std::size_t unmerged_ = 0;
 
   std::string tmpdir_;
   std::string runner_binary_;
@@ -403,8 +270,8 @@ void Coordinator::prepare() {
   HLSPROF_CHECK(opt_.shards >= 1, "shard: --shards must be >= 1");
   const bool daemon_mode = !opt_.connect.empty();
   if (daemon_mode) {
-    HLSPROF_CHECK(opt_.submit != nullptr,
-                  "shard: daemon mode requires a submit hook");
+    HLSPROF_CHECK(opt_.submit_watch != nullptr,
+                  "shard: daemon mode requires a submit_watch hook");
   }
 
   run_ = parse_manifest(text_);
@@ -416,10 +283,11 @@ void Coordinator::prepare() {
     universe_ = run_.options.select;  // shard over the manifest's own subset
   }
   slots_.resize(universe_.size());
+  owner_.assign(universe_.size(), -1);
+  unmerged_ = universe_.size();
   for (std::size_t k = 0; k < universe_.size(); ++k) {
     slot_of_.emplace(universe_[k], k);
   }
-  remaining_.insert(universe_.begin(), universe_.end());
 
   max_redispatch_ =
       opt_.max_redispatch > 0 ? opt_.max_redispatch : 2 * opt_.shards;
@@ -457,6 +325,7 @@ void Coordinator::launch(std::vector<int> indices) {
   shard->id = int(shards_.size());
   shard->indices = std::move(indices);
   shard->start = clock::now();
+  for (const int i : shard->indices) owner_[slot_of_.at(i)] = shard->id;
   Shard& s = *shards_.emplace_back(std::move(shard));
   auto& reg = telemetry::Registry::global();
   if (reg.enabled()) ShardTelemetry::get().launched.add(1);
@@ -470,8 +339,6 @@ void Coordinator::launch(std::vector<int> indices) {
 void Coordinator::launch_process_shard(Shard& s) {
   const std::string manifest_path =
       (fs::path(tmpdir_) / strf("shard-%d.manifest", s.id)).string();
-  const std::string out_prefix =
-      (fs::path(tmpdir_) / strf("shard-%d", s.id)).string();
   {
     std::ofstream f(manifest_path, std::ios::trunc);
     HLSPROF_CHECK(f.good(), "shard: cannot write " + manifest_path);
@@ -485,7 +352,6 @@ void Coordinator::launch_process_shard(Shard& s) {
       "--canonical",
       "--quiet",
       "--progress",
-      "--out=" + out_prefix,
       "--workers=" + std::to_string(workers_per_shard_),
   };
   if (!opt_.cache_dir.empty()) {
@@ -515,7 +381,7 @@ void Coordinator::launch_process_shard(Shard& s) {
   const pid_t pid = ::fork();
   HLSPROF_CHECK(pid >= 0, "shard: fork failed");
   if (pid == 0) {
-    // Child: progress lines go up the pipe; stderr stays inherited.
+    // Child: progress events go up the pipe; stderr stays inherited.
     // Only async-signal-safe calls between fork and exec.
     ::dup2(fds[1], STDOUT_FILENO);
     ::close(fds[0]);
@@ -529,8 +395,7 @@ void Coordinator::launch_process_shard(Shard& s) {
 
   const int shard_id = s.id;
   const int read_fd = fds[0];
-  const std::string report_path = out_prefix + ".json";
-  s.thread = std::thread([this, shard_id, read_fd, pid, report_path] {
+  s.thread = std::thread([this, shard_id, read_fd, pid] {
     std::FILE* f = ::fdopen(read_fd, "r");
     if (f != nullptr) {
       char* line = nullptr;
@@ -538,12 +403,13 @@ void Coordinator::launch_process_shard(Shard& s) {
       ssize_t n = 0;
       while ((n = ::getline(&line, &cap, f)) >= 0) {
         Event e;
-        e.kind = Event::Kind::job_done;
         e.shard = shard_id;
         try {
-          e.job = parse_progress_event(std::string_view(line, std::size_t(n)));
-        } catch (const std::exception&) {
-          continue;  // not a progress event: the report decides anyway
+          e.progress =
+              parse_progress_event(std::string_view(line, std::size_t(n)));
+        } catch (const std::exception& ex) {
+          e.kind = Event::Kind::fault;
+          e.error = strf("streamed a malformed line (%s)", ex.what());
         }
         push(std::move(e));
       }
@@ -553,25 +419,22 @@ void Coordinator::launch_process_shard(Shard& s) {
       ::close(read_fd);
     }
     // Peek the exit status WITHOUT reaping (WNOWAIT): the coordinator
-    // may still SIGKILL this pid (teardown on an error path), which must
-    // never race with pid recycling. The coordinator reaps after it marks the
-    // shard exited, at which point it will never signal the pid again.
+    // may still SIGKILL this pid (a faulty shard, or teardown on an
+    // error path), which must never race with pid recycling. The
+    // coordinator reaps after it marks the shard exited, at which point
+    // it will never signal the pid again.
     siginfo_t si{};
     while (::waitid(P_PID, id_t(pid), &si, WEXITED | WNOWAIT) < 0 &&
            errno == EINTR) {
     }
     Event e;
-    e.kind = Event::Kind::shard_exit;
+    e.kind = Event::Kind::exit;
     e.shard = shard_id;
-    // Exit 1 means some jobs failed — their failures belong in the
-    // merged report, so the shard itself still succeeded.
-    if (si.si_code == CLD_EXITED && (si.si_status == 0 || si.si_status == 1)) {
-      e.report = read_file_or_empty(report_path);
-      e.ok = !e.report.empty();
-      if (!e.ok) e.error = "exited cleanly but wrote no report";
-    } else if (si.si_code == CLD_KILLED || si.si_code == CLD_DUMPED) {
+    // Exit 1 means some jobs failed — their failures were streamed like
+    // any other job, so the shard itself still succeeded.
+    if (si.si_code == CLD_KILLED || si.si_code == CLD_DUMPED) {
       e.error = strf("killed by signal %d", si.si_status);
-    } else {
+    } else if (si.si_status != 0 && si.si_status != 1) {
       e.error = strf("exited with status %d%s", si.si_status,
                      si.si_status == 127 ? " (exec failed?)" : "");
     }
@@ -585,35 +448,34 @@ void Coordinator::launch_daemon_shard(Shard& s) {
       text_, s.indices, opt_.seed_override, opt_.approx_trace);
   const int shard_id = s.id;
   s.thread = std::thread([this, shard_id, socket, manifest] {
-    Event e;
-    e.kind = Event::Kind::shard_exit;
-    e.shard = shard_id;
+    Event done;
+    done.kind = Event::Kind::exit;
+    done.shard = shard_id;
     try {
-      e.report = opt_.submit(socket, manifest, strf("shard-%d", shard_id));
-      e.ok = !e.report.empty();
-      if (!e.ok) e.error = "daemon at " + socket + " returned no report";
+      opt_.submit_watch(socket, manifest, strf("shard-%d", shard_id),
+                        [this, shard_id](const ProgressEvent& p) {
+                          Event e;
+                          e.shard = shard_id;
+                          e.progress = p;
+                          push(std::move(e));
+                        });
     } catch (const std::exception& ex) {
-      e.error = ex.what();
+      done.error = ex.what();
     }
-    push(std::move(e));
+    push(std::move(done));
   });
 }
 
-std::vector<int> Coordinator::outstanding_of(const Shard& s) const {
-  std::vector<int> out;
-  for (int i : s.indices) {
-    if (remaining_.count(i) != 0) out.push_back(i);
+void Coordinator::release(const Shard& s, const std::string& why) {
+  std::vector<int> owned;
+  for (const int i : s.indices) {
+    if (owner_[slot_of_.at(i)] == s.id) owned.push_back(i);
   }
-  return out;
-}
-
-void Coordinator::redispatch(const Shard& from, std::vector<int> outstanding,
-                             const std::string& why) {
-  if (!fatal_.empty()) return;
+  if (owned.empty() || !fatal_.empty()) return;
   if (redispatches_ >= max_redispatch_) {
     fatal_ = strf("shard: re-dispatch budget (%d) exhausted; shard %d %s "
                   "with %zu jobs outstanding",
-                  max_redispatch_, from.id, why.c_str(), outstanding.size());
+                  max_redispatch_, s.id, why.c_str(), owned.size());
     return;
   }
   ++redispatches_;
@@ -621,19 +483,45 @@ void Coordinator::redispatch(const Shard& from, std::vector<int> outstanding,
   if (reg.enabled()) {
     ShardTelemetry& t = ShardTelemetry::get();
     t.redispatched.add(1);
-    t.jobs_redispatched.add(static_cast<long long>(outstanding.size()));
+    t.jobs_redispatched.add(static_cast<long long>(owned.size()));
   }
   if (!opt_.quiet) {
     progress_.note(strf("hlsprof-run: shard %d %s; re-dispatching %zu jobs "
                         "as shard %zu",
-                        from.id, why.c_str(), outstanding.size(),
-                        shards_.size()));
+                        s.id, why.c_str(), owned.size(), shards_.size()));
   }
-  launch(std::move(outstanding));
+  launch(std::move(owned));
 }
 
-void Coordinator::handle_exit(const Event& e) {
-  Shard& s = *shards_[std::size_t(e.shard)];
+void Coordinator::merge(Shard& s, ProgressEvent e) {
+  if (s.faulty) return;  // its jobs already belong to a replacement
+  const int index = e.job.index;
+  const auto it = slot_of_.find(index);
+  if (it == slot_of_.end() || owner_[it->second] != s.id) {
+    fault(s, strf("streamed job index %d, which it does not own", index));
+    return;
+  }
+  owner_[it->second] = -1;
+  --unmerged_;
+  if (opt_.on_job_event) opt_.on_job_event(s.id, e);
+  if (!opt_.quiet) {
+    progress_.note(strf("hlsprof-run: [shard %d] %s %s (%zu/%zu)", s.id,
+                        e.job.name.c_str(), job_status_name(e.job.status),
+                        universe_.size() - unmerged_, universe_.size()));
+  }
+  slots_[it->second] = std::move(e.job);
+}
+
+void Coordinator::fault(Shard& s, const std::string& why) {
+  if (s.faulty) return;
+  s.faulty = true;
+  // Not yet reaped (exited is unset), so the pid cannot have been
+  // recycled.
+  if (s.pid > 0 && !s.exited) ::kill(pid_t(s.pid), SIGKILL);
+  release(s, why);
+}
+
+void Coordinator::handle_exit(Shard& s, const std::string& error) {
   s.exited = true;
   if (s.pid > 0) {
     // Safe to reap now: with `exited` set, this pid is never signalled
@@ -645,59 +533,18 @@ void Coordinator::handle_exit(const Event& e) {
   const double wall = elapsed_ms(s.start);
   auto& reg = telemetry::Registry::global();
   if (reg.enabled()) ShardTelemetry::get().wall_ms.observe(wall);
-
-  if (e.ok) {
-    std::vector<JobResult> jobs;
-    try {
-      jobs = parse_report_jobs(e.report);
-      // Each job is outstanding in exactly one live shard, so a job this
-      // shard cannot deliver (not its own, already merged, or listed
-      // twice) means the report is corrupt: merge none of it.
-      const std::vector<int> mine = outstanding_of(s);
-      std::unordered_set<int> expected(mine.begin(), mine.end());
-      for (const JobResult& j : jobs) {
-        if (expected.erase(j.index) == 0) {
-          fail(strf("job index %d delivered twice or never asked for",
-                    j.index));
-        }
-      }
-    } catch (const std::exception& ex) {
-      const std::vector<int> outstanding = outstanding_of(s);
-      if (!outstanding.empty()) {
-        redispatch(s, outstanding,
-                   strf("returned an unreadable report (%s)", ex.what()));
-      }
-      return;
-    }
-    for (JobResult& j : jobs) {
-      remaining_.erase(j.index);
-      slots_[slot_of_.at(j.index)] = std::move(j);
-    }
-    // A clean report that still left some of the shard's jobs unmerged
-    // (truncated select handling would be a bug, but stay robust).
-    const std::vector<int> missing = outstanding_of(s);
-    if (!missing.empty()) {
-      redispatch(s, missing, "delivered an incomplete report");
-    }
-    return;
-  }
-
-  const std::vector<int> outstanding = outstanding_of(s);
-  if (outstanding.empty()) return;
-  redispatch(s, outstanding, e.error);
+  // Whatever it streamed is merged; only the jobs it still owns go on.
+  release(s, error.empty() ? std::string("exited before streaming all its "
+                                         "jobs")
+                           : error);
 }
 
-void Coordinator::handle_event(const Event& e) {
-  if (e.kind == Event::Kind::shard_exit) {
-    handle_exit(e);
-    return;
-  }
-  if (!progressed_.insert(e.job.index).second) return;
-  if (opt_.on_job_event) opt_.on_job_event(e.shard, e.job);
-  if (!opt_.quiet) {
-    progress_.note(strf("hlsprof-run: [shard %d] %s %s (%zu/%zu)", e.shard,
-                        e.job.name.c_str(), e.job.status.c_str(),
-                        progressed_.size(), universe_.size()));
+void Coordinator::handle_event(Event& e) {
+  Shard& s = *shards_[std::size_t(e.shard)];
+  switch (e.kind) {
+    case Event::Kind::job: merge(s, std::move(e.progress)); return;
+    case Event::Kind::fault: fault(s, e.error); return;
+    case Event::Kind::exit: handle_exit(s, e.error); return;
   }
 }
 
@@ -711,10 +558,8 @@ ShardResult Coordinator::run() {
   const clock::time_point t0 = clock::now();
   prepare();
 
-  const std::vector<std::vector<int>> parts =
-      split_indices(universe_, opt_.shards, opt_.strategy);
-  for (const auto& p : parts) {
-    if (!p.empty()) launch(p);
+  for (auto& part : split_indices(universe_, opt_.shards)) {
+    if (!part.empty()) launch(std::move(part));
   }
 
   const auto all_exited = [&] {
@@ -724,8 +569,8 @@ ShardResult Coordinator::run() {
     return true;
   };
 
-  // Drive events until every job is merged (or the run is doomed and
-  // every shard has come home). Every launched shard reports its exit
+  // Drive events until every job is merged (or the run is doomed) and
+  // every shard has come home. Every launched shard reports its exit
   // through the queue, so the loop also serves as the drain.
   for (;;) {
     std::deque<Event> batch;
@@ -734,15 +579,15 @@ ShardResult Coordinator::run() {
       cv_.wait(lock, [&] { return !events_.empty(); });
       batch.swap(events_);
     }
-    for (const Event& e : batch) handle_event(e);
+    for (Event& e : batch) handle_event(e);
     progress_.flush();
-    if ((remaining_.empty() || !fatal_.empty()) && all_exited()) break;
+    if ((unmerged_ == 0 || !fatal_.empty()) && all_exited()) break;
   }
   for (auto& sp : shards_) {
     if (sp->thread.joinable()) sp->thread.join();
   }
   if (!fatal_.empty()) fail(fatal_);
-  HLSPROF_CHECK(remaining_.empty(), "shard: jobs left unmerged");
+  HLSPROF_CHECK(unmerged_ == 0, "shard: jobs left unmerged");
 
   // Child trace files live in tmpdir_ (removed by the destructor), so
   // the fleet trace must be assembled before run() returns.

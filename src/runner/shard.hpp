@@ -2,22 +2,26 @@
 // manifest's expanded job list into per-shard sub-manifests (via the
 // `select` control key), runs each shard in a child `hlsprof-run`
 // process — or submits it to a running hlsprof-serve daemon — and
-// merges the per-shard canonical reports into one BatchResult whose
-// report bytes are identical to a single-process run of the same
-// manifest:
+// merges every job the moment its shard streams it, into one
+// BatchResult whose report bytes are identical to a single-process run
+// of the same manifest:
 //
+//  - a shard is a stream of progress events (progress.hpp), each
+//    carrying one canonical job record: the child's `--progress` stdout
+//    in process mode, the daemon's watch stream in daemon mode;
 //  - every selected job keeps its original index and index-derived
 //    seed, so each shard produces the exact slice a full run would;
 //  - merged cache counters are rebased (rebase_cache_stats), the same
 //    deterministic accounting the serving daemon reports, equal to a
-//    cold single-process run's real counters;
-//  - shards run --canonical, so no wall-clock ever reaches the bytes.
+//    cold single-process run's real counters.
 //
-// Fault handling: a shard that dies (non-zero exit, signal, unreadable
-// report) has its not-yet-merged jobs re-dispatched to a fresh shard.
-// Every job is outstanding in exactly one live shard at a time, so a
-// report that delivers a job twice, or one its shard was not given, is
-// unreadable too. See docs/SHARDING.md.
+// Ownership and faults: every outstanding job index is owned by exactly
+// one live shard. A shard that streams a job it does not own (not its
+// own, or already merged) or a line that is not a progress event is
+// faulty: it is killed and its still-owned jobs are re-dispatched to a
+// fresh shard. A shard that exits (any status, any signal) re-dispatches
+// only the jobs it still owns — the ones it never streamed. See
+// docs/SHARDING.md.
 #pragma once
 
 #include <cstdint>
@@ -30,22 +34,9 @@
 
 namespace hlsprof::runner {
 
-enum class ShardStrategy {
-  /// Contiguous index ranges (cheapest sub-manifests to eyeball).
-  block,
-  /// Index i goes to shard i % shards (default: manifests commonly
-  /// order jobs by increasing size, so striping balances better).
-  round_robin,
-};
-
-/// Parse "block" / "round_robin" (also accepts "round-robin"); throws
-/// hlsprof::Error on anything else.
-ShardStrategy shard_strategy_from_name(const std::string& name);
-
 struct ShardOptions {
   /// Number of shards to launch for the initial split (>= 1).
   int shards = 2;
-  ShardStrategy strategy = ShardStrategy::round_robin;
 
   /// Re-dispatch budget (replacement shards); 0 = 2 * shards.
   /// Exhausting it fails the run rather than looping on a persistent
@@ -54,16 +45,19 @@ struct ShardOptions {
 
   /// Non-empty: daemon mode. Shards are submitted to these
   /// hlsprof-serve sockets round-robin instead of spawning child
-  /// processes; `submit` must then be set.
+  /// processes; `submit_watch` must then be set.
   std::vector<std::string> connect;
-  /// Daemon submission hook: send `manifest_text` to the daemon at
-  /// `socket` as `client_name` and return the canonical report JSON;
-  /// throw hlsprof::Error (or serve::ConnectError) on failure. Injected
-  /// by the tool layer so this library does not depend on serve.
-  std::function<std::string(const std::string& socket,
-                            const std::string& manifest_text,
-                            const std::string& client_name)>
-      submit;
+  /// Daemon submission hook (serve::submit_shard): watch-submit
+  /// `manifest_text` to the daemon at `socket` as `client_name`, call
+  /// `on_event` with each progress event as it arrives, and return when
+  /// the daemon answers; throw hlsprof::Error (or serve::ConnectError)
+  /// on failure. Injected by the tool layer so this library does not
+  /// depend on serve.
+  std::function<void(
+      const std::string& socket, const std::string& manifest_text,
+      const std::string& client_name,
+      const std::function<void(const ProgressEvent&)>& on_event)>
+      submit_watch;
 
   /// Process mode: the hlsprof-run binary to exec for each shard.
   /// Empty = this process's own image (/proc/self/exe).
@@ -103,10 +97,9 @@ struct ShardOptions {
   /// thread. Null = write batches to stderr.
   std::function<void(const std::string& lines)> emit_progress;
 
-  /// Process mode: called on the coordinator thread with each child
-  /// progress event (runner/progress.hpp), once per job index — a job a
-  /// re-dispatched shard reports again is not passed on twice. The fleet
-  /// live view's feed.
+  /// Called on the coordinator thread with each progress event as its
+  /// job merges: exactly once per job index, from the shard that owned
+  /// it. The fleet live view's feed.
   std::function<void(int shard, const ProgressEvent& event)> on_job_event;
 
   /// Non-empty, process mode: every shard child additionally writes a
@@ -136,9 +129,8 @@ struct ShardResult {
 };
 
 /// Run `manifest_text` sharded. Throws hlsprof::Error on coordinator
-/// failures (unrunnable binary, re-dispatch budget exhausted, a job
-/// that no shard ever delivered); per-job failures land in the merged
-/// result like any batch run.
+/// failures (unrunnable binary, re-dispatch budget exhausted); per-job
+/// failures land in the merged result like any batch run.
 ShardResult run_sharded_text(const std::string& manifest_text,
                              const ShardOptions& options);
 
@@ -148,12 +140,13 @@ ShardResult run_sharded(const std::string& manifest_path,
 
 // ---- building blocks (exposed for tests) -------------------------------
 
-/// Partition `universe` (ascending job indices) into `shards` disjoint,
-/// covering index lists; entries may be empty when there are fewer jobs
-/// than shards (empty shards are simply not launched).
+/// Partition `universe` (ascending job indices) round-robin into
+/// `shards` disjoint, covering index lists: the k-th index goes to list
+/// k % shards, which balances manifests that order jobs by size. Lists
+/// may be empty when there are fewer jobs than shards (empty shards are
+/// simply not launched).
 std::vector<std::vector<int>> split_indices(const std::vector<int>& universe,
-                                            int shards,
-                                            ShardStrategy strategy);
+                                            int shards);
 
 /// Rewrite manifest text for one shard: drop any existing `select`
 /// (its values are original indices — the shard's own selection
@@ -166,21 +159,5 @@ std::string make_sub_manifest(const std::string& manifest_text,
                               const std::vector<int>& indices,
                               long long seed_override = -1,
                               bool approx_trace = false);
-
-/// Parse a canonical batch-report JSON document (report_json output)
-/// back into per-job results. Exact: seeds and design keys round-trip
-/// through the report's uint64/hex encodings, doubles through %.17g.
-/// Throws hlsprof::Error on schema mismatches.
-std::vector<JobResult> parse_report_jobs(const std::string& report_json_text);
-
-/// Merge per-shard job lists into one result covering exactly
-/// `expected_indices` (ascending original indices). Shards are
-/// consumed in list order and the first copy of each index wins;
-/// later copies count into `*duplicates` (may be null). Deterministic
-/// because duplicate copies of a job are byte-identical. Cache
-/// counters are rebased. Throws if any expected index never appears.
-BatchResult merge_job_results(
-    const std::vector<std::vector<JobResult>>& per_shard,
-    const std::vector<int>& expected_indices, int* duplicates = nullptr);
 
 }  // namespace hlsprof::runner

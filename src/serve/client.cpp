@@ -49,6 +49,11 @@ Client::Client(Client&& other) noexcept
 }
 
 Response Client::call(const Request& request) {
+  send(request);
+  return parse_response(read_line());
+}
+
+void Client::send(const Request& request) {
   std::string line = request_line(request);
   line += '\n';
   std::size_t off = 0;
@@ -61,7 +66,6 @@ Response Client::call(const Request& request) {
     }
     off += std::size_t(n);
   }
-  return parse_response(read_line());
 }
 
 std::string Client::read_line() {
@@ -105,22 +109,25 @@ Response Client::submit_watch(
   r.priority = priority;
   r.manifest = manifest_text;
   r.watch = true;
-  std::string line = request_line(r);
-  line += '\n';
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n =
-        ::send(fd_, line.data() + off, line.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      fail("serve client: send: " + std::string(strerror(errno)));
-    }
-    off += std::size_t(n);
-  }
+  send(r);
   for (;;) {
     Response resp = parse_response(read_line());
     if (resp.event.empty()) return resp;
     if (on_event) on_event(resp);
+  }
+}
+
+void submit_shard(
+    const std::string& socket, const std::string& manifest_text,
+    const std::string& client_name,
+    const std::function<void(const runner::ProgressEvent&)>& on_event) {
+  Client client(socket);
+  const Response r = client.submit_watch(
+      manifest_text, [&on_event](const Response& ev) { on_event(ev.progress); },
+      client_name);
+  if (!r.ok) {
+    fail("daemon at " + socket + " rejected the shard (" + r.error +
+         "): " + r.message);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "runner/progress.hpp"
 #include "serve/protocol.hpp"
 
 namespace hlsprof::serve {
@@ -69,10 +70,22 @@ class Client {
   Response shutdown(std::uint64_t id = 0);
 
  private:
+  void send(const Request& request);
   std::string read_line();
 
   int fd_ = -1;
   std::string acc_;  // bytes read past the last newline
 };
+
+/// The shard coordinator's daemon-mode hook
+/// (runner::ShardOptions::submit_watch): watch-submit `manifest_text` to
+/// the daemon at `socket` as `client_name` on a fresh connection, handing
+/// each progress event to `on_event` as it arrives. Throws
+/// serve::ConnectError when the daemon is unreachable and hlsprof::Error
+/// when it rejects the shard or the connection drops.
+void submit_shard(
+    const std::string& socket, const std::string& manifest_text,
+    const std::string& client_name,
+    const std::function<void(const runner::ProgressEvent&)>& on_event);
 
 }  // namespace hlsprof::serve

@@ -147,12 +147,13 @@ std::string shutdown_response(std::uint64_t id) {
   return w.str();
 }
 
-std::string progress_event(std::uint64_t id, const runner::ProgressEvent& e) {
+std::string progress_event(std::uint64_t id, const runner::JobResult& job,
+                           int done, int jobs) {
   JsonWriter w;
   w.begin_object();
   w.field("id", id);
   w.field("ok", true);
-  runner::write_progress_event(w, e);
+  runner::write_progress_event(w, job, done, jobs);
   w.end_object();
   return w.str();
 }

@@ -14,10 +14,14 @@
 //
 // A watch submit additionally streams one progress event per finished
 // job BEFORE the final submit response: the runner's progress event
-// (runner/progress.hpp, docs/LIVE.md) with the request's "id" and "ok":
-//   {"id":7,"ok":true,"event":"progress","done":2,"jobs":3,"index":1,
-//    "status":"ok","name":"pi.steps=4000","cycles":231072,"threads":8,
-//    "state_cycles":[1024,1700000,0,147552],"bytes":98304}
+// (runner/progress.hpp, docs/LIVE.md) with the request's "id" and "ok",
+// its "job" the canonical job record a report's "jobs" array holds:
+//   {"id":7,"ok":true,"event":"progress","done":2,"jobs":3,
+//    "job":{"index":1,"name":"pi.steps=4000","status":"ok",...},
+//    "cycles":231072,"state_cycles":[1024,1700000,0,147552],"bytes":98304}
+// "jobs" counts the jobs the request runs (its `select` subset, if any).
+// The events carry every job's record, so a watcher can rebuild the
+// report from them alone — the shard coordinator's daemon mode does.
 // Clients not watching never see events; a pipelining client matches
 // them by "id" like any response and keeps reading until the line
 // without "event".
@@ -85,7 +89,8 @@ std::string ping_response(std::uint64_t id, const std::string& build);
 std::string shutdown_response(std::uint64_t id);
 /// One per-job progress event of a watch submit (never the final word on
 /// a request — a submit_ok/error response always follows).
-std::string progress_event(std::uint64_t id, const runner::ProgressEvent& e);
+std::string progress_event(std::uint64_t id, const runner::JobResult& job,
+                           int done, int jobs);
 
 /// Parsed response, client side. Exactly the fields of the wire format;
 /// absent fields are empty/zero.

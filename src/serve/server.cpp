@@ -287,13 +287,11 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
   std::atomic<int> watch_done{0};
   if (request.watch) {
     const std::uint64_t id = request.id;
-    const int jobs_total = int(run.batch.size());
+    const int jobs_total = run.job_count();
     run.options.on_job_done = [this, &conn, &watch_done, id,
                                jobs_total](const runner::JobResult& job) {
-      write_line(conn,
-                 progress_event(id, runner::ProgressEvent::of(
-                                        job, watch_done.fetch_add(1) + 1,
-                                        jobs_total)));
+      write_line(conn, progress_event(id, job, watch_done.fetch_add(1) + 1,
+                                      jobs_total));
     };
   }
 

@@ -18,18 +18,26 @@ double TimedTrace::state_fraction(thread_id_t tid, sim::ThreadState s) const {
 }
 
 double TimedTrace::state_fraction(sim::ThreadState s) const {
-  if (duration == 0 || num_threads == 0) return 0.0;
-  return double(state_cycles(s)) / (double(duration) * double(num_threads));
+  return state_share(state_cycles(s));
 }
 
 cycle_t TimedTrace::state_cycles(sim::ThreadState s) const {
-  cycle_t total = 0;
+  return state_totals()[std::size_t(s)];
+}
+
+std::array<cycle_t, 4> TimedTrace::state_totals() const {
+  std::array<cycle_t, 4> totals{};
   for (const auto& tv : thread_states) {
     for (const StateInterval& iv : tv) {
-      if (iv.state == s) total += iv.end - iv.begin;
+      totals[std::size_t(iv.state)] += iv.end - iv.begin;
     }
   }
-  return total;
+  return totals;
+}
+
+double TimedTrace::state_share(cycle_t cycles) const {
+  if (duration == 0 || num_threads == 0) return 0.0;
+  return double(cycles) / (double(duration) * double(num_threads));
 }
 
 std::uint64_t TimedTrace::event_total(EventKind kind) const {

@@ -4,6 +4,7 @@
 // consume.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/types.hpp"
@@ -51,10 +52,17 @@ struct TimedTrace {
 
   /// Fraction of [0, duration) thread `tid` spent in `s`.
   double state_fraction(thread_id_t tid, sim::ThreadState s) const;
-  /// Fraction across all threads (sum of state time / (threads*duration)).
+  /// Fraction across all threads: state_share(state_cycles(s)).
   double state_fraction(sim::ThreadState s) const;
   /// Total cycles all threads spent in `s`.
   cycle_t state_cycles(sim::ThreadState s) const;
+  /// Total cycles all threads spent in each state, indexed by
+  /// sim::ThreadState (idle, running, critical, spinning), in one pass
+  /// over the intervals.
+  std::array<cycle_t, 4> state_totals() const;
+  /// `cycles` as a share of threads * duration (0 for an empty trace):
+  /// the one expression behind every all-thread state fraction.
+  double state_share(cycle_t cycles) const;
 
   /// Sum of event values of `kind` across threads and windows.
   std::uint64_t event_total(EventKind kind) const;

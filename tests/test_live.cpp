@@ -94,32 +94,30 @@ TEST(LiveTimeline, CompactsSpanToFitWidth) {
 
 // ---- integer totals --------------------------------------------------------
 
-runner::ProgressEvent event(const char* status, std::uint64_t cycles,
-                            int threads,
-                            std::array<std::uint64_t, 4> state_cycles,
-                            std::uint64_t bytes) {
-  runner::ProgressEvent e;
-  e.jobs = 4;
-  e.status = status;
-  e.cycles = cycles;
-  e.threads = threads;
-  e.state_cycles = state_cycles;
-  e.bytes = bytes;
-  return e;
+runner::JobResult job(runner::JobStatus status, std::uint64_t cycles,
+                      int threads, std::array<std::uint64_t, 4> state_cycles,
+                      std::uint64_t bytes) {
+  runner::JobResult j;
+  j.status = status;
+  j.timeline_cycles = cycles;
+  j.num_threads = threads;
+  j.state_cycles = state_cycles;
+  j.trace_mem_bytes = bytes;
+  return j;
 }
 
 TEST(LiveTotals, AddFoldsOkJobsAndMergesExactly) {
   live::LiveTotals a;
-  a.add(event("ok", 100, 4, {0, 400, 0, 0}, 200));
-  a.add(event("failed", 999, 4, {999, 0, 0, 0}, 999));  // counted, not folded
+  a.add(job(runner::JobStatus::ok, 100, 4, {0, 400, 0, 0}, 200));
+  // Counted, not folded.
+  a.add(job(runner::JobStatus::failed, 999, 4, {999, 0, 0, 0}, 999));
   EXPECT_EQ(a.jobs_done, 2u);
-  EXPECT_EQ(a.jobs_total, 4u);
   EXPECT_EQ(a.cycles, 100u);
   EXPECT_EQ(a.thread_cycles, 400u);
   EXPECT_EQ(a.bytes, 200u);
 
   live::LiveTotals b;
-  b.add(event("ok", 300, 4, {1200, 0, 0, 0}, 0));
+  b.add(job(runner::JobStatus::ok, 300, 4, {1200, 0, 0, 0}, 0));
   live::LiveTotals m = a;
   m += b;
   EXPECT_EQ(m.jobs_done, 3u);
@@ -316,11 +314,15 @@ TEST(LiveReporter, TotalsEqualPerJobAnalysisSums) {
 
 TEST(LiveFleet, AggregatesShardLanes) {
   live::FleetView fleet(2, live::FleetOptions{});
-  const runner::ProgressEvent e = event("ok", 100, 8, {400, 400, 0, 0}, 50);
+  runner::ProgressEvent e;
+  e.done = 1;
+  e.jobs = 3;
+  e.job = job(runner::JobStatus::ok, 100, 8, {400, 400, 0, 0}, 50);
   fleet.update(0, e);
   fleet.update(1, e);
   const live::LiveTotals m = fleet.merged();
   EXPECT_EQ(m.jobs_done, 2u);
+  EXPECT_EQ(m.jobs_total, 6u);  // each lane's total is its events' "jobs"
   EXPECT_EQ(m.cycles, 200u);
   EXPECT_DOUBLE_EQ(m.share(1), 0.5);
   EXPECT_DOUBLE_EQ(m.bandwidth(), 0.5);
@@ -347,17 +349,21 @@ TEST(LiveProgressLine, CarriesJobMetrics) {
   j.timeline_cycles = 120000;
   j.state_cycles = {1, 2, 3, 959994};
   j.trace_mem_bytes = 1ULL << 40;
-  const runner::ProgressEvent p =
-      runner::parse_progress_event(runner::format_progress_event(j, 2, 5));
+  const std::string line = runner::format_progress_event(j, 2, 5);
+  // The timeline duration travels next to the record.
+  EXPECT_NE(line.find("\"cycles\":120000,"), std::string::npos) << line;
+  const runner::ProgressEvent p = runner::parse_progress_event(line);
   EXPECT_EQ(p.done, 2);
   EXPECT_EQ(p.jobs, 5);
-  EXPECT_EQ(p.index, 7);
-  EXPECT_EQ(p.status, "ok");
-  EXPECT_EQ(p.name, j.name);
-  EXPECT_EQ(p.cycles, 120000u);  // the timeline duration
-  EXPECT_EQ(p.threads, 8);
-  EXPECT_EQ(p.state_cycles, (std::array<std::uint64_t, 4>{1, 2, 3, 959994}));
-  EXPECT_EQ(p.bytes, 1ULL << 40);
+  EXPECT_EQ(p.job.index, 7);
+  EXPECT_EQ(p.job.status, runner::JobStatus::ok);
+  EXPECT_EQ(p.job.name, j.name);
+  EXPECT_EQ(p.job.total_cycles, 123456u);
+  EXPECT_EQ(p.job.timeline_cycles, 120000u);
+  EXPECT_EQ(p.job.num_threads, 8);
+  EXPECT_EQ(p.job.state_cycles,
+            (std::array<std::uint64_t, 4>{1, 2, 3, 959994}));
+  EXPECT_EQ(p.job.trace_mem_bytes, 1ULL << 40);
 }
 
 // ---- merged chrome traces --------------------------------------------------

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -446,6 +447,15 @@ TEST(RunnerManifest, ErrorsNameTheLineAndOffendingKey) {
       {"sampling_period = 1024,-1", "'sampling_period'"},
       {"buffer_lines = 0", "'buffer_lines'"},
       {"max_cycles = -5", "'max_cycles'"},
+      {"threads = 0", "'threads'"},
+      {"dim = 0", "'dim'"},
+      {"steps = 0", "'steps'"},
+      {"n = 4,0", "'n'"},
+      {"block = -2", "'block'"},
+      {"vector_len = 0", "'vector_len'"},
+      {"unroll = 0", "'unroll'"},
+      {"thread_start_interval = -2", "'thread_start_interval'"},
+      {"seed = -1", "'seed'"},
   };
   for (const auto& [line, key] : below_minimum) {
     msg = manifest_error(std::string("workload = pi\n") + line + "\n");
@@ -471,6 +481,39 @@ TEST(RunnerCli, NegativeWorkersIsUsageError) {
   };
   EXPECT_EQ(run("--workers=-3"), 2);
   EXPECT_EQ(run("--workers=0"), 0);  // 0 = one worker per core
+}
+
+TEST(RunnerCli, NegativeSeedAndNonPositiveShardsAreUsageErrors) {
+  const std::filesystem::path manifest =
+      std::filesystem::path(testing::TempDir()) / "hlsprof_cli_range.manifest";
+  {
+    std::ofstream f(manifest);
+    f << "workload = vecadd\nn = 16\nthreads = 2\nprofiling = off\n";
+  }
+  // Exit status plus stderr, which must name the offending flag.
+  const auto run = [&manifest](const std::string& flag, std::string* err) {
+    const std::filesystem::path err_path = manifest.string() + ".err";
+    const std::string cmd = std::string("'") + HLSPROF_RUN_BIN + "' '" +
+                            manifest.string() + "' --quiet " + flag +
+                            " >/dev/null 2>'" + err_path.string() + "'";
+    const int status = std::system(cmd.c_str());
+    std::ifstream f(err_path);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    *err = ss.str();
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  std::string err;
+  for (const char* flag : {"--seed=-3", "--seed=-1"}) {
+    EXPECT_EQ(run(flag, &err), 2) << flag;
+    EXPECT_NE(err.find("--seed"), std::string::npos) << err;
+  }
+  for (const char* flag : {"--shards=0", "--shards=-2"}) {
+    EXPECT_EQ(run(flag, &err), 2) << flag;
+    EXPECT_NE(err.find("--shards"), std::string::npos) << err;
+  }
+  EXPECT_EQ(run("--seed=0", &err), 0) << err;
+  EXPECT_EQ(run("--shards=1", &err), 0) << err;  // 1 = single process
 }
 
 // ---- pool drain / cancel ---------------------------------------------------

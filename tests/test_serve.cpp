@@ -228,8 +228,7 @@ TEST(ServeProtocol, ProgressEventIsTheRunnerEventPlusRequestId) {
   j.timeline_cycles = 500;
   j.state_cycles = {10, 900, 0, 90};
   j.trace_mem_bytes = 64;
-  const runner::ProgressEvent sent = runner::ProgressEvent::of(j, 2, 3);
-  const std::string line = serve::progress_event(77, sent);
+  const std::string line = serve::progress_event(77, j, 2, 3);
   // Same members, same order, as the hlsprof-run --progress line.
   const std::string bare = runner::format_progress_event(j, 2, 3);
   EXPECT_EQ(line, R"({"id":77,"ok":true,)" + bare.substr(1));
@@ -238,12 +237,12 @@ TEST(ServeProtocol, ProgressEventIsTheRunnerEventPlusRequestId) {
   EXPECT_EQ(r.id, 77u);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.event, "progress");
-  EXPECT_EQ(r.progress.index, 4);
+  EXPECT_EQ(r.progress.job.index, 4);
   EXPECT_EQ(r.progress.done, 2);
   EXPECT_EQ(r.progress.jobs, 3);
-  EXPECT_EQ(r.progress.name, j.name);
-  EXPECT_EQ(r.progress.state_cycles, sent.state_cycles);
-  EXPECT_EQ(r.progress.bytes, 64u);
+  EXPECT_EQ(r.progress.job.name, j.name);
+  EXPECT_EQ(r.progress.job.state_cycles, j.state_cycles);
+  EXPECT_EQ(r.progress.job.trace_mem_bytes, 64u);
 }
 
 TEST(ServeProtocol, MalformedRequestsThrow) {
@@ -417,13 +416,26 @@ TEST(ServeServer, WatchStreamsOneProgressEventPerJob) {
     std::vector<int> indices;
     for (const runner::ProgressEvent& e : events) {
       EXPECT_EQ(e.jobs, 2);
-      EXPECT_EQ(e.status, "ok");
-      EXPECT_GT(e.cycles, 0u);
-      EXPECT_EQ(e.threads, 2);
-      indices.push_back(e.index);
+      EXPECT_EQ(e.job.status, runner::JobStatus::ok);
+      EXPECT_GT(e.job.timeline_cycles, 0u);
+      EXPECT_EQ(e.job.num_threads, 2);
+      indices.push_back(e.job.index);
     }
     std::sort(indices.begin(), indices.end());
     EXPECT_EQ(indices, (std::vector<int>{0, 1}));
+    // The events carry the report's job records: rebuilt from them alone,
+    // the report is byte-identical.
+    runner::BatchResult rebuilt;
+    rebuilt.jobs = {events[0].job, events[1].job};
+    std::sort(rebuilt.jobs.begin(), rebuilt.jobs.end(),
+              [](const runner::JobResult& a, const runner::JobResult& b) {
+                return a.index < b.index;
+              });
+    runner::rebase_cache_stats(rebuilt);
+    runner::ReportOptions ro;
+    ro.canonical = true;
+    ro.label = "watch";
+    EXPECT_EQ(runner::report_json(rebuilt, ro), want);
     client.shutdown();
   }
   serving.join();

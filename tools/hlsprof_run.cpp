@@ -5,8 +5,7 @@
 //                              [--approx-trace]
 //                              [--canonical] [--json] [--quiet] [--progress]
 //                              [--live[=state|metrics]] [--no-color]
-//                              [--shards=N] [--shard-strategy=S]
-//                              [--connect=SOCKETS]
+//                              [--shards=N] [--connect=SOCKETS]
 //                              [--telemetry-out=FILE] [--chrome-trace=FILE]
 //                              [--version] [--help]
 //
@@ -14,7 +13,7 @@
 //                        core; negative is a usage error)
 //   --out=PREFIX         write PREFIX.json + PREFIX.csv (overrides manifest
 //                        `out`)
-//   --seed=S             override the manifest's batch seed
+//   --seed=S             override the manifest's batch seed (>= 0)
 //   --cache-dir=DIR      persist compiled designs in DIR (created if
 //                        missing) so repeated runs skip recompilation;
 //                        default off. See docs/CACHING.md.
@@ -31,7 +30,8 @@
 //   --json               print the JSON report to stdout
 //   --quiet              suppress the summary table
 //   --progress           print one JSON progress event per finished job on
-//                        stdout as it completes (the shard coordinator's
+//                        stdout as it completes, carrying the job's
+//                        canonical report record (the shard coordinator's
 //                        feed; schema in docs/LIVE.md)
 //   --live[=MODE]        live display on stderr while the batch runs:
 //                        `state` (default) draws the in-place ASCII thread
@@ -42,15 +42,15 @@
 //                        with it on or off. See docs/LIVE.md.
 //   --no-color           disable ANSI colors in the live display
 //                        (NO_COLOR in the environment does the same)
-//   --shards=N           split the manifest's jobs across N hlsprof-run
-//                        child processes and merge their reports; the
-//                        merged canonical output is byte-identical to a
-//                        single-process run. Implies --canonical. See
-//                        docs/SHARDING.md.
-//   --shard-strategy=S   block | round_robin (default round_robin)
+//   --shards=N           split the manifest's jobs round-robin across N
+//                        (>= 1) hlsprof-run child processes and merge each
+//                        job as its child streams it; the merged canonical
+//                        output is byte-identical to a single-process run.
+//                        Implies --canonical. See docs/SHARDING.md.
 //   --connect=SOCKETS    comma-separated hlsprof-serve sockets: submit
-//                        shards to running daemons (round-robin) instead
-//                        of spawning child processes; implies shard mode
+//                        shards to running daemons (round-robin, as watch
+//                        submits) instead of spawning child processes;
+//                        implies shard mode
 //   --telemetry-out=FILE enable host telemetry; write the metrics snapshot
 //                        JSON (schema "hlsprof-telemetry") to FILE
 //   --chrome-trace=FILE  enable host telemetry; write a Chrome trace-event
@@ -102,11 +102,10 @@ int main(int argc, char** argv) {
   std::string cache_dir;
   std::string telemetry_out;
   std::string chrome_trace;
-  std::string shard_strategy = "round_robin";
   std::string connect_text;
   std::string shard_telemetry_prefix;
   long long workers_override = LLONG_MIN;  // LLONG_MIN = not given
-  long long seed_override = -1;
+  long long seed_override = LLONG_MIN;  // LLONG_MIN = not given
   long long cache_max_bytes = -1;
   long long shards = 1;
   std::string live_value = "state";
@@ -126,7 +125,8 @@ int main(int argc, char** argv) {
                   "override the manifest's worker count (0 = one per core)")
       .option("out", &out_override,
               "write VALUE.json + VALUE.csv (overrides manifest `out`)")
-      .option_int("seed", &seed_override, "override the manifest's batch seed")
+      .option_int("seed", &seed_override,
+                  "override the manifest's batch seed (>= 0)")
       .option("cache-dir", &cache_dir,
               "persist compiled designs in VALUE so repeated runs skip "
               "recompilation (default off)")
@@ -147,10 +147,8 @@ int main(int argc, char** argv) {
                        "metrics (ticker); auto-off when stderr is no TTY")
       .flag("no-color", &no_color, "disable ANSI colors in the live display")
       .option_int("shards", &shards,
-                  "split jobs across N child processes and merge the "
-                  "reports (implies --canonical)")
-      .option("shard-strategy", &shard_strategy,
-              "block | round_robin (default round_robin)")
+                  "split jobs across N child processes, merging each job "
+                  "as it streams (implies --canonical)")
       .option("connect", &connect_text,
               "comma-separated hlsprof-serve sockets to submit shards to "
               "(daemon mode)")
@@ -185,6 +183,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "hlsprof-run: --workers must be >= 0\n");
     return usage(parser, stderr);
   }
+  if (seed_override == LLONG_MIN) {
+    seed_override = -1;  // not given: keep the manifest's seed
+  } else if (seed_override < 0) {
+    std::fprintf(stderr, "hlsprof-run: --seed must be >= 0\n");
+    return usage(parser, stderr);
+  }
+  if (shards < 1) {
+    std::fprintf(stderr, "hlsprof-run: --shards must be >= 1\n");
+    return usage(parser, stderr);
+  }
 
   live::LiveMode live_mode = live::LiveMode::off;
   if (live_flag && !live::parse_live_mode(live_value, &live_mode)) {
@@ -211,13 +219,7 @@ int main(int argc, char** argv) {
 
   if (shard_mode) {
     runner::ShardOptions sopts;
-    sopts.shards = int(shards < 1 ? 1 : shards);
-    try {
-      sopts.strategy = runner::shard_strategy_from_name(shard_strategy);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-      return usage(parser, stderr);
-    }
+    sopts.shards = int(shards);
     sopts.cache_dir = cache_dir;
     if (cache_max_bytes > 0) {
       sopts.cache_max_bytes = std::uint64_t(cache_max_bytes);
@@ -243,17 +245,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
         return 4;
       }
-      sopts.submit = [](const std::string& socket,
-                        const std::string& manifest_text,
-                        const std::string& client_name) {
-        serve::Client client(socket);
-        const serve::Response r = client.submit(manifest_text, client_name);
-        if (!r.ok) {
-          fail("daemon at " + socket + " rejected the shard (" + r.error +
-               "): " + r.message);
-        }
-        return r.report;
-      };
+      sopts.submit_watch = serve::submit_shard;
     }
     if (!canonical && !quiet) {
       std::fprintf(stderr,
@@ -269,9 +261,9 @@ int main(int argc, char** argv) {
     if (merged_chrome) sopts.chrome_trace_out = chrome_trace;
 
     // Fleet live view: one lane per shard, folded from the progress
-    // events the children already stream to the coordinator.
+    // events the coordinator merges.
     std::unique_ptr<live::FleetView> fleet;
-    if (live_display && sopts.connect.empty()) {
+    if (live_display) {
       live::FleetOptions fopts;
       fopts.display = stderr;
       fleet = std::make_unique<live::FleetView>(sopts.shards, fopts);
@@ -327,9 +319,7 @@ int main(int argc, char** argv) {
     // of the job holding the display slot; totals fold from on_job_done.
     // Canonical report and trace bytes are identical with it on or off.
     // Under `select` (a shard child) only the selected slice runs.
-    const int jobs_total = int(run.options.select.empty()
-                                   ? run.batch.size()
-                                   : run.options.select.size());
+    const int jobs_total = run.job_count();
     std::unique_ptr<live::BatchLiveReporter> reporter;
     if (live_display) {
       live::ReporterOptions lopts;

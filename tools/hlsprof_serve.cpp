@@ -246,8 +246,8 @@ int main(int argc, char** argv) {
           [quiet](const serve::Response& ev) {
             if (quiet) return;
             std::fprintf(stderr, "[%d/%d] %s %s\n", ev.progress.done,
-                         ev.progress.jobs, ev.progress.name.c_str(),
-                         ev.progress.status.c_str());
+                         ev.progress.jobs, ev.progress.job.name.c_str(),
+                         runner::job_status_name(ev.progress.job.status));
           },
           client_name, int(priority));
     } else {
