@@ -47,7 +47,9 @@ void run_case_study(int dim) {
   const auto b = workloads::random_matrix(cfg.dim, 22);
 
   // Long runs produce multi-hundred-MB traces (the paper notes HPC traces
-  // often reach tens of GB); size the trace region with the run.
+  // often reach tens of GB); size the trace region with the run. DRAM
+  // capacity is reserved address space committed page by page on first
+  // touch, so the headroom costs only what the trace actually writes.
   core::RunOptions opts;
   opts.profiling.trace_region_bytes =
       std::size_t(512) << (dim >= 384 ? 21 : 16);

@@ -50,6 +50,9 @@ struct RunOptions {
   sim::SimParams sim;
   profiling::ProfilingConfig profiling;
   bool enable_profiling = true;
+  /// Simulated DRAM size (kernel buffers + trace region). Reserved
+  /// address space, committed page by page on first touch: raising it
+  /// costs nothing until the kernel uses it.
   std::size_t mem_capacity = std::size_t{64} << 20;
   /// Optional live observer of the decoded record stream (e.g.
   /// live::LiveTimelineView). When set, every record is teed to it

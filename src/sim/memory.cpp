@@ -1,5 +1,7 @@
 #include "sim/memory.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 
 namespace hlsprof::sim {
@@ -16,11 +18,27 @@ constexpr unsigned log2_exact(std::uint64_t v) {
 
 }  // namespace
 
+void ExternalMemory::Unmap::operator()(std::uint8_t* p) const {
+  ::munmap(p, bytes);
+}
+
 ExternalMemory::ExternalMemory(const DramParams& params, std::size_t capacity)
-    : p_(params), data_(capacity, 0) {
+    : p_(params), size_(capacity) {
   HLSPROF_CHECK(p_.num_banks >= 1, "DRAM needs at least one bank");
   HLSPROF_CHECK(p_.line_bytes > 0 && p_.row_bytes >= p_.line_bytes,
                 "DRAM row must be at least one line");
+  // Reserve address space only; MAP_NORESERVE keeps a large capacity
+  // from being charged against swap before it is touched. A zero-byte
+  // mmap is invalid, and an empty store needs no mapping.
+  if (capacity > 0) {
+    void* p = ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    HLSPROF_CHECK(p != MAP_FAILED,
+                  "cannot map " + std::to_string(capacity) +
+                      " bytes of external memory");
+    data_ = std::unique_ptr<std::uint8_t[], Unmap>(
+        static_cast<std::uint8_t*>(p), Unmap{capacity});
+  }
   banks_.resize(static_cast<std::size_t>(p_.num_banks));
   if (is_pow2(p_.row_bytes) && is_pow2(p_.line_bytes) &&
       is_pow2(std::uint64_t(p_.num_banks))) {
@@ -35,21 +53,21 @@ addr_t ExternalMemory::allocate(const std::string& label, std::size_t bytes) {
   const addr_t aligned = (alloc_ptr_ + 63) & ~addr_t{63};
   // `aligned + bytes` can wrap for huge requests; compare against the
   // remaining capacity instead so overflow cannot sneak past the check.
-  HLSPROF_CHECK(aligned >= alloc_ptr_ && aligned <= data_.size() &&
-                    bytes <= data_.size() - aligned,
+  HLSPROF_CHECK(aligned >= alloc_ptr_ && aligned <= size_ &&
+                    bytes <= size_ - aligned,
                 "external memory exhausted allocating '" + label + "'");
   alloc_ptr_ = aligned + bytes;
   return aligned;
 }
 
 void ExternalMemory::write_bytes(addr_t addr, const void* src, std::size_t n) {
-  HLSPROF_CHECK(addr + n <= data_.size(), "external memory write out of range");
-  std::memcpy(data_.data() + addr, src, n);
+  HLSPROF_CHECK(in_range(addr, n), "external memory write out of range");
+  if (n > 0) std::memcpy(data_.get() + addr, src, n);
 }
 
 void ExternalMemory::read_bytes(addr_t addr, void* dst, std::size_t n) const {
-  HLSPROF_CHECK(addr + n <= data_.size(), "external memory read out of range");
-  std::memcpy(dst, data_.data() + addr, n);
+  HLSPROF_CHECK(in_range(addr, n), "external memory read out of range");
+  if (n > 0) std::memcpy(dst, data_.get() + addr, n);
 }
 
 MemTiming ExternalMemory::burst(cycle_t t, addr_t addr, std::uint32_t bytes) {

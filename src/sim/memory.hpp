@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,12 +27,18 @@ struct MemTiming {
 
 class ExternalMemory {
  public:
+  /// `capacity` is reserved address space, not committed memory: pages
+  /// are committed (zero-filled) on first touch, so untouched bytes read
+  /// as zero and an unused capacity costs nothing.
   explicit ExternalMemory(const DramParams& params, std::size_t capacity);
+
+  ExternalMemory(const ExternalMemory&) = delete;
+  ExternalMemory& operator=(const ExternalMemory&) = delete;
 
   // ---- Address-space management ------------------------------------------
   /// Allocate a 64-byte-aligned region; returns its base address.
   addr_t allocate(const std::string& label, std::size_t bytes);
-  std::size_t capacity() const { return data_.size(); }
+  std::size_t capacity() const { return size_; }
 
   // ---- Functional access -----------------------------------------------------
   void write_bytes(addr_t addr, const void* src, std::size_t n);
@@ -42,17 +49,17 @@ class ExternalMemory {
   // copy lower to a single load/store) instead of calling read_bytes.
   template <typename T>
   T read_scalar(addr_t addr) const {
-    HLSPROF_CHECK(addr + sizeof(T) <= data_.size(),
+    HLSPROF_CHECK(in_range(addr, sizeof(T)),
                   "external memory read out of range");
     T v;
-    std::memcpy(&v, data_.data() + addr, sizeof(T));
+    std::memcpy(&v, data_.get() + addr, sizeof(T));
     return v;
   }
   template <typename T>
   void write_scalar(addr_t addr, T v) {
-    HLSPROF_CHECK(addr + sizeof(T) <= data_.size(),
+    HLSPROF_CHECK(in_range(addr, sizeof(T)),
                   "external memory write out of range");
-    std::memcpy(data_.data() + addr, &v, sizeof(T));
+    std::memcpy(data_.get() + addr, &v, sizeof(T));
   }
 
   // ---- Timing --------------------------------------------------------------
@@ -100,8 +107,23 @@ class ExternalMemory {
     std::int64_t open_row = -1;
   };
 
+  /// Releases the backing mapping; remembers its length for munmap.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::uint8_t* p) const;
+  };
+
+  /// [addr, addr+n) lies inside the store. Written so that `addr + n`
+  /// is never formed: it wraps for addresses near 2^64.
+  bool in_range(addr_t addr, std::size_t n) const {
+    return addr <= size_ && n <= size_ - addr;
+  }
+
   DramParams p_;
-  std::vector<std::uint8_t> data_;
+  // Anonymous private mapping of size_ bytes (null when size_ is 0): a
+  // job pays only for the pages its kernel and trace region touch.
+  std::size_t size_ = 0;
+  std::unique_ptr<std::uint8_t[], Unmap> data_;
   std::vector<Bank> banks_;
   cycle_t bus_free_at_ = 0;
   addr_t alloc_ptr_ = 0;

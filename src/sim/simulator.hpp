@@ -69,6 +69,8 @@ struct SimResult {
 class Simulator {
  public:
   /// `mem_capacity` sizes the simulated DRAM (kernel buffers + trace).
+  /// It is reserved address space, committed page by page on first
+  /// touch, so raising it costs nothing until the kernel uses it.
   Simulator(const hls::Design& design, SimParams params = SimParams{},
             std::size_t mem_capacity = std::size_t{64} << 20);
 

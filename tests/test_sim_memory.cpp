@@ -2,6 +2,10 @@
 // open-page timing behaviour the GEMM case study depends on.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "sim/memory.hpp"
 
@@ -9,6 +13,16 @@ namespace hlsprof::sim {
 namespace {
 
 DramParams default_params() { return DramParams{}; }
+
+/// Resident set size of this process in KiB (`VmRSS` in /proc).
+long long vm_rss_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return -1;
+}
 
 TEST(Memory, FunctionalReadWriteRoundTrip) {
   ExternalMemory mem(default_params(), 4096);
@@ -34,6 +48,63 @@ TEST(Memory, OutOfRangeAccessThrows) {
   std::uint8_t b = 0;
   EXPECT_THROW(mem.write_bytes(127, &b, 2), Error);
   EXPECT_THROW(mem.read_bytes(128, &b, 1), Error);
+}
+
+TEST(Memory, WrappingAddressThrows) {
+  // `addr + n` wraps past 2^64 for addresses near the top; the bounds
+  // check must still reject these rather than touch memory off the end.
+  ExternalMemory mem(default_params(), 128);
+  const addr_t top = ~addr_t{0} - 3;
+  std::uint8_t buf[8] = {};
+  EXPECT_THROW(mem.read_bytes(top, buf, 8), Error);
+  EXPECT_THROW(mem.write_bytes(top, buf, 8), Error);
+  EXPECT_THROW(mem.read_scalar<std::uint64_t>(top), Error);
+  EXPECT_THROW(mem.write_scalar<std::uint64_t>(top, 1), Error);
+}
+
+TEST(Memory, UntouchedBytesReadAsZero) {
+  constexpr std::size_t cap = std::size_t{4} << 20;
+  ExternalMemory mem(default_params(), cap);
+  const addr_t base = mem.allocate("all", cap);
+  EXPECT_EQ(base, 0u);
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(0), 0);
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(cap - 1), 0);
+  std::vector<std::uint8_t> span(8192, 0xAA);
+  mem.read_bytes(cap / 2, span.data(), span.size());
+  for (std::uint8_t b : span) ASSERT_EQ(b, 0);
+
+  // A written region leaves its neighbours zero.
+  const std::vector<std::uint8_t> ones(256, 0xFF);
+  const addr_t at = cap / 4;
+  mem.write_bytes(at, ones.data(), ones.size());
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(at - 1), 0);
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(at), 0xFF);
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(at + ones.size() - 1), 0xFF);
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(at + ones.size()), 0);
+}
+
+TEST(Memory, LargeCapacityCommitsOnlyTouchedPages) {
+  // Capacity is reserved address space: a 1 GiB store whose last bytes
+  // are the only ones touched must not become resident.
+  const long long before = vm_rss_kib();
+  ASSERT_GT(before, 0) << "cannot read VmRSS from /proc/self/status";
+  constexpr std::size_t cap = std::size_t{1} << 30;
+  ExternalMemory mem(default_params(), cap);
+  EXPECT_EQ(mem.capacity(), cap);
+  mem.write_scalar<std::int64_t>(cap - 8, -42);
+  EXPECT_EQ(mem.read_scalar<std::int64_t>(cap - 8), -42);
+  EXPECT_LT(vm_rss_kib() - before, 16 * 1024);
+}
+
+TEST(Memory, ZeroCapacityRejectsEveryAccess) {
+  ExternalMemory mem(default_params(), 0);
+  EXPECT_EQ(mem.capacity(), 0u);
+  std::uint8_t b = 0;
+  EXPECT_THROW(mem.allocate("one", 1), Error);
+  EXPECT_THROW(mem.read_bytes(0, &b, 1), Error);
+  EXPECT_THROW(mem.write_bytes(0, &b, 1), Error);
+  EXPECT_THROW(mem.read_scalar<std::uint8_t>(0), Error);
+  EXPECT_THROW(mem.write_scalar<std::uint8_t>(0, 1), Error);
 }
 
 TEST(Memory, AllocationIsAligned) {
