@@ -41,9 +41,9 @@ inline std::shared_ptr<const hls::Design> compile_shared(
 
 struct RunOptions {
   /// Simulation runs on the fast path (direct dispatch + batched memory
-  /// streams) by default; set `sim.reference_event_loop` to use the
-  /// original event loop — cycle-exact with the fast path and kept as
-  /// the verification oracle (DESIGN.md §6e, docs/PERF.md). Set
+  /// streams) by default; set `sim.reference_event_loop` to turn both
+  /// shortcuts off — cycle-exact with the fast path and kept as the
+  /// verification oracle (DESIGN.md §6e, docs/PERF.md). Set
   /// `sim.fast_forward` for the opt-in approximate tier that jumps over
   /// steady-state memory-bound loop phases (DESIGN.md §6j) — outputs
   /// are then not meaningful, so pair it with disabled verification.

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -198,16 +199,19 @@ BatchResult Batch::run(const BatchOptions& options) const {
   const CacheStats before = cache.stats();
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto& on_done = options.on_job_done;
-  if (options.pool != nullptr) {
-    // Shared-pool mode: the pool serves other batches too, so Pool::wait()
-    // (which waits for global idleness) is wrong — track completion of
-    // exactly this batch's tasks.
+  {
+    // A shared pool serves other batches too, so Pool::wait() (which
+    // waits for global idleness) is wrong there: every batch tracks
+    // completion of exactly its own tasks, on whichever pool runs them.
     struct Remaining {
       std::mutex mu;
       std::condition_variable cv;
       std::size_t n;
     } remaining{{}, {}, indices.size()};
+    std::optional<Pool> own;
+    Pool& pool =
+        options.pool != nullptr ? *options.pool : own.emplace(result.workers);
+    const auto& on_done = options.on_job_done;
     for (std::size_t k = 0; k < indices.size(); ++k) {
       const int i = indices[k];
       const JobSpec& spec = jobs_[std::size_t(i)];
@@ -215,8 +219,8 @@ BatchResult Batch::run(const BatchOptions& options) const {
       const std::uint64_t seed =
           spec.seed != 0 ? spec.seed : job_seed(options.seed, i);
       JobTraceObserver* observer = options.observer;
-      options.pool->submit([&spec, &slot, &cache, &remaining, &on_done,
-                            observer, i, seed] {
+      pool.submit([&spec, &slot, &cache, &remaining, &on_done, observer, i,
+                   seed] {
         slot = run_job(spec, i, seed, cache, observer);
         if (on_done) on_done(slot);
         std::lock_guard<std::mutex> lock(remaining.mu);
@@ -225,21 +229,6 @@ BatchResult Batch::run(const BatchOptions& options) const {
     }
     std::unique_lock<std::mutex> lock(remaining.mu);
     remaining.cv.wait(lock, [&remaining] { return remaining.n == 0; });
-  } else {
-    Pool pool(result.workers);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const int i = indices[k];
-      const JobSpec& spec = jobs_[std::size_t(i)];
-      JobResult& slot = result.jobs[k];
-      const std::uint64_t seed =
-          spec.seed != 0 ? spec.seed : job_seed(options.seed, i);
-      JobTraceObserver* observer = options.observer;
-      pool.submit([&spec, &slot, &cache, &on_done, observer, i, seed] {
-        slot = run_job(spec, i, seed, cache, observer);
-        if (on_done) on_done(slot);
-      });
-    }
-    pool.wait();
   }
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)

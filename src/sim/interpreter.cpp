@@ -24,6 +24,12 @@ const char* thread_state_name(ThreadState s) {
   return "?";
 }
 
+void cycle_limit_exceeded(thread_id_t tid, cycle_t t, cycle_t limit) {
+  fail(strf("simulation exceeded max_cycles (livelock guard): thread %d's "
+            "next action is at cycle %llu, past the limit of %llu",
+            int(tid), (unsigned long long)t, (unsigned long long)limit));
+}
+
 ThreadInterp::ThreadInterp(const hls::Design& design,
                            const std::vector<ArgValue>& args, thread_id_t tid,
                            ExternalMemory& mem, const SimParams& params,
@@ -95,7 +101,7 @@ bool ThreadInterp::step(Action& out) {
       }
       const Stmt& s = f.region->stmts[f.idx];
       if (const auto* os = std::get_if<ir::OpStmt>(&s)) {
-        return exec_op(os->op, out);  // idx advanced inside / by mem_done
+        return exec_op(os->op, out);  // idx advanced inside / by issue_mem
       }
       if (const auto* loop = std::get_if<ir::LoopStmt>(&s)) {
         ++f.idx;
@@ -175,13 +181,7 @@ bool ThreadInterp::step(Action& out) {
       } else if (f.in_iteration) {
         // An iteration's body just completed.
         f.in_iteration = false;
-        if (f.linfo->pipelined) {
-          f.loop_end = std::max(
-              f.loop_end,
-              f.iter_base + f.iter_stall + cycle_t(f.linfo->depth));
-        }
-        f.iv_cur += f.step_v;
-        varp_[static_cast<std::size_t>(f.loop->induction)].i[0] = f.iv_cur;
+        finish_iteration(f);
       }
       // `f` may dangle once begin_iteration_or_exit pushes the body frame
       // (frames_ can reallocate), so remember the loop frame's index.
@@ -240,25 +240,42 @@ bool ThreadInterp::step(Action& out) {
   fail("unreachable frame kind");
 }
 
+void ThreadInterp::finish_iteration(Frame& f) {
+  if (f.linfo->pipelined) {
+    f.loop_end = std::max(
+        f.loop_end, f.iter_base + f.iter_stall + cycle_t(f.linfo->depth));
+  }
+  f.iv_cur += f.step_v;
+  varp_[static_cast<std::size_t>(f.loop->induction)].i[0] = f.iv_cur;
+}
+
+void ThreadInterp::start_pipelined_iteration(Frame& f) {
+  if (f.first_iter) {
+    f.iter_base = time_;
+  } else {
+    f.iter_base += cycle_t(f.linfo->ii) + f.iter_stall;
+  }
+  f.first_iter = false;
+  f.iter_stall = 0;
+}
+
+bool ThreadInterp::exit_if_done(Frame& f) {
+  if (f.iv_cur < f.bound_v) return false;
+  if (f.linfo->pipelined) {
+    time_ = std::max(time_, f.loop_end);
+    active_pipe_ = -1;
+  }
+  flush_compute(time_);
+  return true;
+}
+
 void ThreadInterp::begin_iteration_or_exit(Frame& f) {
-  const bool more = f.iv_cur < f.bound_v;
-  if (!more) {
-    if (f.linfo->pipelined) {
-      time_ = std::max(time_, f.loop_end);
-      active_pipe_ = -1;
-    }
-    flush_compute(time_);
+  if (exit_if_done(f)) {
     frames_.pop_back();
     return;
   }
   if (f.linfo->pipelined) {
-    if (f.first_iter) {
-      f.iter_base = time_;
-    } else {
-      f.iter_base += cycle_t(f.linfo->ii) + f.iter_stall;
-    }
-    f.first_iter = false;
-    f.iter_stall = 0;
+    start_pipelined_iteration(f);
     active_pipe_ = static_cast<int>(frames_.size() - 1);
   } else {
     time_ += params_.ctrl.loop_iter_overhead;
@@ -286,14 +303,26 @@ const std::vector<ValueId>* ThreadInterp::simple_body(const Region& r) {
   return it->second.size() == r.stmts.size() ? &it->second : nullptr;
 }
 
+// Inline: on the per-request hot path of exec_op and the batched executor.
+inline MemTiming ThreadInterp::commit_mem(std::uint32_t bytes,
+                                          bool is_write, bool is_preload) {
+  check_cycle_limit(tid_, pending_issue_, params_.max_cycles);
+  const MemTiming tm =
+      is_preload ? mem_.burst(pending_issue_, pending_addr_, bytes)
+                 : mem_.access(pending_issue_, pending_addr_, bytes, is_write);
+  if (hooks_ != nullptr) hooks_->on_mem(tid_, tm.accepted, bytes, is_write);
+  apply_mem(tm);
+  return tm;
+}
+
 bool ThreadInterp::run_batched_iterations(std::size_t loop_at,
                                           const std::vector<ValueId>& ids,
                                           Action& out) {
   // PRE: frames_[loop_at] is a pipelined loop frame mid-iteration and
   // frames_.back() is its body region frame; active_pipe_ == loop_at.
-  // Cycle-exactness: every effect below reuses the generic machinery's
-  // code (eval_pure, exec_op, apply_mem, the loop-frame arithmetic from
-  // step/begin_iteration_or_exit) — only the dispatch around it is gone.
+  // Cycle-exactness: every effect below is the generic machinery's own
+  // code (eval_pure, exec_op, the loop-frame helpers of step and
+  // begin_iteration_or_exit) — only the dispatch around it is gone.
   const std::size_t n = ids.size();
   ff::LoopPhase* ph = ff_on_ ? ff_phase(frames_[loop_at], ids) : nullptr;
   for (;;) {
@@ -323,36 +352,21 @@ bool ThreadInterp::run_batched_iterations(std::size_t loop_at,
       const Op& op = op_at(id);
       const Opcode oc = op.opcode;
       if (oc == Opcode::load_ext || oc == Opcode::store_ext) {
-        const cycle_t issue =
-            lf.iter_base + cycle_t(op_start_[static_cast<std::size_t>(id)]) +
-            lf.iter_stall;
+        const cycle_t issue = vlo_issue(lf, id);
         if (issue >= mem_horizon_) {
           // Another thread has an event at or before `issue`: hand the
           // request to the generic path, which re-derives it and returns
           // the Action for the event loop to commit in global order.
           return exec_op(id, out);
         }
-        HLSPROF_CHECK(
-            issue <= params_.max_cycles,
-            strf("simulation exceeded max_cycles (livelock guard): thread "
-                 "%d would issue a memory request at cycle %llu, past the "
-                 "limit of %llu",
-                 int(tid_), (unsigned long long)issue,
-                 (unsigned long long)params_.max_cycles));
-        const std::int64_t index = scalar_i(op.operands[0]);
-        const addr_t addr = ext_addr(op, index);
-        const auto bytes = static_cast<std::uint32_t>(op.type.bytes());
-        const bool is_write = oc == Opcode::store_ext;
         pending_op_ = id;
-        pending_addr_ = addr;
+        pending_addr_ = ext_addr(op, scalar_i(op.operands[0]));
         pending_issue_ = issue;
-        const MemTiming tm = mem_.access(issue, addr, bytes, is_write);
-        if (hooks_ != nullptr) {
-          hooks_->on_mem(tid_, tm.accepted, bytes, is_write);
-        }
-        if (ph != nullptr) ph->note_mem(addr, tm.row_hit);
+        const MemTiming tm =
+            commit_mem(static_cast<std::uint32_t>(op.type.bytes()),
+                       oc == Opcode::store_ext, false);  // advances rf.idx
+        if (ph != nullptr) ph->note_mem(pending_addr_, tm.row_hit);
         ++batched_mem_;
-        apply_mem(tm);  // advances rf.idx
       } else if (oc == Opcode::preload) {
         if (exec_op(id, out)) return true;  // batched inline or suspended
       } else {
@@ -360,28 +374,21 @@ bool ThreadInterp::run_batched_iterations(std::size_t loop_at,
         ++rf.idx;
       }
     }
-    // Iteration complete: advance the loop frame exactly as the generic
-    // loop case + begin_iteration_or_exit would, reusing the body frame
-    // in place instead of popping and re-pushing it.
-    lf.loop_end = std::max(
-        lf.loop_end, lf.iter_base + lf.iter_stall + cycle_t(lf.linfo->depth));
+    // Iteration complete: the generic loop case and
+    // begin_iteration_or_exit's helpers, reusing the body frame in place
+    // instead of popping and re-pushing it.
     const std::int64_t iv_done = lf.iv_cur;
     const cycle_t iter_cycles = cycle_t(lf.linfo->ii) + lf.iter_stall;
-    lf.iv_cur += lf.step_v;
-    varp_[static_cast<std::size_t>(lf.loop->induction)].i[0] = lf.iv_cur;
-    if (!(lf.iv_cur < lf.bound_v)) {
+    finish_iteration(lf);
+    if (exit_if_done(lf)) {
       if (ph != nullptr && ph->finish_instance(iter_cycles, params_.ff)) {
         ff_gate_model(lf, *ph);  // a calibration completed: model-check it
       }
-      time_ = std::max(time_, lf.loop_end);
-      active_pipe_ = -1;
-      flush_compute(time_);
       frames_.pop_back();  // body region frame
       frames_.pop_back();  // the loop frame itself
       return false;
     }
-    lf.iter_base += cycle_t(lf.linfo->ii) + lf.iter_stall;
-    lf.iter_stall = 0;
+    start_pipelined_iteration(lf);
     rf.idx = 0;
     if (ph != nullptr &&
         ph->end_iteration(iv_done, lf.step_v, iter_cycles,
@@ -577,7 +584,18 @@ void ThreadInterp::ff_project_rows(const ff::LoopPhase& ph,
 
 bool ThreadInterp::exec_op(ValueId id, Action& out) {
   const Op& op = op_at(id);
-  if (op.opcode == Opcode::preload) {
+  const bool is_preload = op.opcode == Opcode::preload;
+  const bool is_write = op.opcode == Opcode::store_ext;
+  if (!is_preload && !is_write && op.opcode != Opcode::load_ext) {
+    eval_pure(op, id);
+    if (pipeline_frame() == nullptr) {
+      time_ += cycle_t(op_latency_[static_cast<std::size_t>(id)]);
+    }
+    ++frames_.back().idx;
+    return false;
+  }
+  std::uint32_t bytes = 0;
+  if (is_preload) {
     const std::int64_t src_index = scalar_i(op.operands[0]);
     const std::int64_t dst_index = scalar_i(op.operands[1]);
     const std::int64_t count = scalar_i(op.operands[2]);
@@ -596,106 +614,54 @@ bool ThreadInterp::exec_op(ValueId id, Action& out) {
       ++frames_.back().idx;
       return false;
     }
-    Frame* pf = pipeline_frame();
-    const cycle_t issue =
-        pf ? pf->iter_base +
-                 cycle_t(op_start_[static_cast<std::size_t>(id)]) +
-                 pf->iter_stall
-           : time_;
-    if (pf == nullptr) flush_compute(issue);
     const int esz = arg.elem_type.scalar_bytes();
-    const addr_t addr = args_[static_cast<std::size_t>(op.arg)].base +
-                        addr_t(src_index) * addr_t(esz);
-    const std::uint32_t bytes = std::uint32_t(count * esz);
-    pending_op_ = id;
-    pending_addr_ = addr;
-    pending_issue_ = issue;
+    pending_addr_ = args_[static_cast<std::size_t>(op.arg)].base +
+                    addr_t(src_index) * addr_t(esz);
+    bytes = std::uint32_t(count * esz);
     pending_dst_index_ = dst_index;
     pending_count_ = count;
-    if (issue < mem_horizon_) {
-      // Batched fast path: no other thread has an event before `issue`,
-      // so the burst commits against the memory model inline — exactly
-      // the sub-requests the event loop would have issued.
-      HLSPROF_CHECK(issue <= params_.max_cycles,
-                    "simulation exceeded max_cycles (livelock guard)");
-      const MemTiming tm = mem_.burst(issue, addr, bytes);
-      if (hooks_ != nullptr) hooks_->on_mem(tid_, tm.accepted, bytes, false);
-      ++batched_mem_;
-      apply_mem(tm);
-      return false;
-    }
-    out = Action{};
-    out.kind = Action::Kind::mem;
-    out.time = issue;
-    out.addr = addr;
-    out.bytes = bytes;
-    out.is_write = false;
-    out.is_preload = true;
-    suspend_ = Suspend::mem;
-    return true;
+  } else {
+    pending_addr_ = ext_addr(op, scalar_i(op.operands[0]));
+    bytes = static_cast<std::uint32_t>(op.type.bytes());
   }
-  if (op.opcode == Opcode::load_ext || op.opcode == Opcode::store_ext) {
-    const std::int64_t index = scalar_i(op.operands[0]);
-    const addr_t addr = ext_addr(op, index);
-    // Pipelined iterations issue VLOs at their scheduled offsets, shifted
-    // by the stalls already accumulated this iteration: all of a thread's
-    // external accesses multiplex onto one blocking read and one blocking
-    // write port (paper §IV-B2c), so each overrun stalls the stage and
-    // delays the iteration's later VLOs. Memory-level parallelism comes
-    // from the *threads* (Nymble-MT), not from within a thread.
-    Frame* pf = pipeline_frame();
-    const cycle_t issue =
-        pf ? pf->iter_base +
-                 cycle_t(op_start_[static_cast<std::size_t>(id)]) +
-                 pf->iter_stall
-           : time_;
-    if (pf == nullptr) flush_compute(issue);
-    const std::uint32_t bytes = static_cast<std::uint32_t>(op.type.bytes());
-    const bool is_write = op.opcode == Opcode::store_ext;
-    pending_op_ = id;
-    pending_addr_ = addr;
-    pending_issue_ = issue;
-    if (issue < mem_horizon_) {
-      // Batched fast path: commit the request inline (see set_mem_horizon).
-      // The strict `<` preserves the event loop's (time, seq) tie-break:
-      // an equal-time event already in the heap would have popped first.
-      HLSPROF_CHECK(issue <= params_.max_cycles,
-                    "simulation exceeded max_cycles (livelock guard)");
-      const MemTiming tm = mem_.access(issue, addr, bytes, is_write);
-      if (hooks_ != nullptr) {
-        hooks_->on_mem(tid_, tm.accepted, bytes, is_write);
-      }
-      ++batched_mem_;
-      apply_mem(tm);
-      return false;
-    }
-    out = Action{};
-    out.kind = Action::Kind::mem;
-    out.time = issue;
-    out.addr = addr;
-    out.bytes = bytes;
-    out.is_write = is_write;
-    suspend_ = Suspend::mem;
-    return true;
+  // Pipelined iterations issue VLOs at their scheduled offsets, shifted
+  // by the stalls already accumulated this iteration: all of a thread's
+  // external accesses multiplex onto one blocking read and one blocking
+  // write port (paper §IV-B2c), so each overrun stalls the stage and
+  // delays the iteration's later VLOs. Memory-level parallelism comes
+  // from the *threads* (Nymble-MT), not from within a thread.
+  const Frame* pf = pipeline_frame();
+  const cycle_t issue = pf != nullptr ? vlo_issue(*pf, id) : time_;
+  if (pf == nullptr) flush_compute(issue);
+  pending_op_ = id;
+  pending_issue_ = issue;
+  if (issue < mem_horizon_) {
+    // Batched fast path: no other thread has an event before `issue`, so
+    // the request commits inline (see set_mem_horizon). The strict `<`
+    // preserves the event loop's (time, seq) tie-break: an equal-time
+    // event already in the heap would have popped first.
+    commit_mem(bytes, is_write, is_preload);
+    ++batched_mem_;
+    return false;
   }
-  eval_pure(op, id);
-  if (pipeline_frame() == nullptr) {
-    time_ += cycle_t(op_latency_[static_cast<std::size_t>(id)]);
-  }
-  ++frames_.back().idx;
-  return false;
+  out = Action{};
+  out.kind = Action::Kind::mem;
+  out.time = issue;
+  out.bytes = bytes;
+  out.is_write = is_write;
+  out.is_preload = is_preload;
+  suspend_ = Suspend::mem;
+  return true;
 }
 
-void ThreadInterp::mem_done(const MemTiming& timing) {
-  HLSPROF_CHECK(suspend_ == Suspend::mem, "unexpected mem_done");
+void ThreadInterp::issue_mem(const Action& a) {
+  HLSPROF_CHECK(suspend_ == Suspend::mem, "unexpected issue_mem");
   suspend_ = Suspend::none;
-  apply_mem(timing);
+  commit_mem(a.bytes, a.is_write, a.is_preload);
 }
 
 /// Tail of a memory request: stall accounting, functional data movement,
-/// and resuming the enclosing region. Reached from mem_done (event-loop
-/// round trip) and from the batched inline path in exec_op — keeping it
-/// shared is what makes the two execution modes cycle-exact.
+/// and resuming the enclosing region.
 void ThreadInterp::apply_mem(const MemTiming& timing) {
   const Op& op = op_at(pending_op_);
   const cycle_t assumed = cycle_t(d_.options.lib.ext_assumed_min);
@@ -740,14 +706,7 @@ void ThreadInterp::apply_mem(const MemTiming& timing) {
       if (arr.elem == ir::Scalar::f32) x = double(float(x));
       store[static_cast<std::size_t>(pending_dst_index_ + e)] = x;
     }
-    pending_op_ = ir::kNoValue;
-    HLSPROF_CHECK(!frames_.empty() &&
-                      frames_.back().kind == Frame::Kind::region,
-                  "mem_done with no active region");
-    ++frames_.back().idx;
-    return;
-  }
-  if (op.opcode == Opcode::load_ext) {
+  } else if (op.opcode == Opcode::load_ext) {
     ++ext_loads_;
     RtVal& v = val(pending_op_);
     if (params_.functional || op.type.is_int()) {
@@ -799,7 +758,7 @@ void ThreadInterp::apply_mem(const MemTiming& timing) {
   // The enclosing region frame resumes at the next statement.
   HLSPROF_CHECK(!frames_.empty() &&
                     frames_.back().kind == Frame::Kind::region,
-                "mem_done with no active region");
+                "memory commit with no active region");
   ++frames_.back().idx;
 }
 

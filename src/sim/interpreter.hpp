@@ -44,8 +44,7 @@ struct Action {
   Kind kind = Kind::finished;
   cycle_t time = 0;  // issue/request cycle
 
-  // kind == mem:
-  addr_t addr = 0;
+  // kind == mem (the thread keeps the address: ThreadInterp::issue_mem):
   std::uint32_t bytes = 0;
   bool is_write = false;
   /// Preloader DMA burst (paper Fig. 1): serviced as back-to-back line
@@ -58,6 +57,15 @@ struct Action {
   // kind == barrier:
   int barrier_id = 0;
 };
+
+/// The livelock guard (SimParams::max_cycles), shared by the event loop
+/// and the interpreter's inline commits: throws when thread `tid`'s next
+/// action at cycle `t` lies past `limit`.
+[[noreturn]] void cycle_limit_exceeded(thread_id_t tid, cycle_t t,
+                                       cycle_t limit);
+inline void check_cycle_limit(thread_id_t tid, cycle_t t, cycle_t limit) {
+  if (t > limit) cycle_limit_exceeded(tid, t, limit);
+}
 
 class ThreadInterp {
  public:
@@ -72,8 +80,11 @@ class ThreadInterp {
   /// outstanding (feed the response first).
   Action resume();
 
-  /// Responses to the previously returned action:
-  void mem_done(const MemTiming& timing);
+  /// Responses to the previously returned action. `issue_mem` is the
+  /// event loop reaching a mem Action's turn in global order: the thread
+  /// commits the request itself, through the same code as its inline
+  /// batched requests.
+  void issue_mem(const Action& a);
   void lock_granted(cycle_t t);
   void release_done(cycle_t t);
   void barrier_released(cycle_t t);
@@ -143,7 +154,7 @@ class ThreadInterp {
 
   enum class Suspend : std::uint8_t {
     none,
-    mem,       // waiting for mem_done
+    mem,       // waiting for issue_mem
     acquire,   // waiting for lock_granted
     release,   // waiting for release_done
     barrier,   // waiting for barrier_released
@@ -151,8 +162,25 @@ class ThreadInterp {
 
   // -- state-machine driver --
   bool step(Action& out);  // returns true if an action was produced
+  /// Executes one op. An external-memory op either commits inline (below
+  /// the batching horizon) or returns its Action.
   bool exec_op(ir::ValueId id, Action& out);
-  void apply_mem(const MemTiming& timing);  // shared mem-commit tail
+  /// The one commit of an external-memory request (pending_op_/addr_/
+  /// issue_): time it against the shared DRAM model (a preload as a
+  /// burst), fire on_mem, apply the stall and the data movement.
+  MemTiming commit_mem(std::uint32_t bytes, bool is_write, bool is_preload);
+  void apply_mem(const MemTiming& timing);  // commit_mem's tail
+  /// Issue cycle of external op `id` in pipelined loop frame `pf`: its
+  /// scheduled offset in the iteration, shifted by the stalls the
+  /// iteration has accumulated so far.
+  cycle_t vlo_issue(const Frame& pf, ir::ValueId id) const {
+    return pf.iter_base + cycle_t(op_start_[static_cast<std::size_t>(id)]) +
+           pf.iter_stall;
+  }
+  // Loop-frame bookkeeping, shared by step() and the batched executor.
+  void finish_iteration(Frame& f);       // drain bound + induction step
+  void start_pipelined_iteration(Frame& f);  // next initiation's base
+  bool exit_if_done(Frame& f);  // last iteration ran: apply exit timing
   void begin_iteration_or_exit(Frame& f);
   void flush_compute(cycle_t now);
   const std::vector<std::size_t>& concurrent_order(

@@ -94,11 +94,12 @@ struct SimParams {
   /// timing-only sweeps: addresses and control flow are still exact, but
   /// FP values are not computed and output buffers are not meaningful.
   bool functional = true;
-  /// Run the original heap-only event loop instead of the fast path
-  /// (direct dispatch + batched memory streams). The two modes are
+  /// Run the event loop heap-only: no direct dispatch and no batched
+  /// memory streams (the fast path's two shortcuts). The two modes are
   /// cycle-exact against each other — identical SimResult fields and
   /// byte-identical Paraver output; the reference mode exists as the
-  /// oracle for the differential test suite and for debugging.
+  /// oracle for the differential test suite and for debugging. It
+  /// cannot be combined with `fast_forward`, which needs batching.
   bool reference_event_loop = false;
   /// Opt-in approximate mode: analytically fast-forward steady-state
   /// memory-bound pipelined loop phases (manifest key `approx_trace`,

@@ -33,6 +33,10 @@ Simulator::Simulator(const hls::Design& design, SimParams params,
       mem_(params.dram, mem_capacity),
       sem_(design.kernel.num_locks, params.sem),
       barrier_(design.kernel.num_threads, params.host.barrier_release_latency) {
+  HLSPROF_CHECK(!(params.reference_event_loop && params.fast_forward),
+                "SimParams::reference_event_loop and SimParams::fast_forward "
+                "cannot be combined: the reference loop never batches, so "
+                "fast-forward would never engage");
   const auto& k = d_.kernel;
   bound_.resize(k.args.size());
   arg_values_.resize(k.args.size());
@@ -170,40 +174,36 @@ void Simulator::emit_state(SimHooks* hooks, thread_id_t tid, ThreadState s,
   if (hooks != nullptr) hooks->on_state(tid, s, t);
 }
 
-void Simulator::advance(thread_id_t tid, bool allow_batching) {
+void Simulator::advance(thread_id_t tid, cycle_t horizon) {
   ThreadInterp& ti = interps_[tid];
-  // Batching horizon: the earliest event any *other* thread has pending.
-  // Memory requests strictly below it can commit inline without changing
-  // the global commit order (parked threads can only be re-scheduled at or
-  // after that horizon, by an action that itself ends the resume).
-  ti.set_mem_horizon(allow_batching
-                         ? (heap_.empty() ? kNoCycle : heap_.front().time)
-                         : 0);
+  ti.set_mem_horizon(horizon);
   pending_[tid] = ti.resume();
   has_pending_[tid] = 1;
 }
 
-void Simulator::start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks,
-                             bool allow_batching) {
-  started_[tid] = 1;
-  emit_state(hooks, tid, ThreadState::running, t);
-  interps_[tid].start(t);
-  advance(tid, allow_batching);
+cycle_t Simulator::batching_horizon() const {
+  // The earliest event any *other* thread has pending. Memory requests
+  // strictly below it can commit inline without changing the global
+  // commit order (parked threads can only be re-scheduled at or after
+  // that horizon, by an action that itself ends the resume). The
+  // reference loop keeps it at 0: every request takes the heap.
+  if (params_.reference_event_loop) return 0;
+  return heap_.empty() ? kNoCycle : heap_.front().time;
+}
+
+void Simulator::wake(thread_id_t tid) {
+  // The woken thread resumes before the waker's next action time is
+  // known, so its first resume must not batch past the heap.
+  advance(tid, 0);
+  push_event(pending_[tid].time, tid);
 }
 
 Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
-                                           SimHooks* hooks,
-                                           bool allow_batching) {
+                                           SimHooks* hooks) {
   switch (a.kind) {
     case Action::Kind::mem: {
-      const MemTiming tm =
-          a.is_preload ? mem_.burst(a.time, a.addr, a.bytes)
-                       : mem_.access(a.time, a.addr, a.bytes, a.is_write);
-      if (hooks != nullptr) {
-        hooks->on_mem(tid, tm.accepted, a.bytes, a.is_write);
-      }
-      interps_[tid].mem_done(tm);
-      advance(tid, allow_batching);
+      interps_[tid].issue_mem(a);
+      advance(tid, batching_horizon());
       return Commit::advanced;
     }
     case Action::Kind::acquire: {
@@ -214,7 +214,7 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
       }
       emit_state(hooks, tid, ThreadState::critical, *grant);
       interps_[tid].lock_granted(*grant);
-      advance(tid, allow_batching);
+      advance(tid, batching_horizon());
       return Commit::advanced;
     }
     case Action::Kind::release: {
@@ -224,13 +224,10 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
         const auto [waiter, gt] = *r.granted;
         emit_state(hooks, waiter, ThreadState::critical, gt);
         interps_[waiter].lock_granted(gt);
-        // The waiter resumes before this thread's next action time is
-        // known, so its first resume must not batch past the heap.
-        advance(waiter, false);
-        push_event(pending_[waiter].time, waiter);
+        wake(waiter);
       }
       interps_[tid].release_done(r.release_done);
-      advance(tid, allow_batching);
+      advance(tid, batching_horizon());
       return Commit::advanced;
     }
     case Action::Kind::barrier: {
@@ -241,8 +238,7 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
         for (thread_id_t w : released) {
           emit_state(hooks, w, ThreadState::running, when);
           interps_[w].barrier_released(when);
-          advance(w, false);
-          push_event(pending_[w].time, w);
+          wake(w);
         }
       }
       // The arriving thread's own continuation (when it is the releaser)
@@ -265,79 +261,45 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
   fail("unreachable action kind");
 }
 
-void Simulator::run_reference(SimHooks* hooks) {
+void Simulator::run_events(SimHooks* hooks) {
+  const bool dispatch = !params_.reference_event_loop;
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     const Event ev = heap_.back();
     heap_.pop_back();
-    HLSPROF_CHECK(
-        ev.time <= params_.max_cycles,
-        strf("simulation exceeded max_cycles (livelock guard): thread %d's "
-             "next event is at cycle %llu, past the limit of %llu",
-             int(ev.tid), (unsigned long long)ev.time,
-             (unsigned long long)params_.max_cycles));
-    const thread_id_t tid = ev.tid;
-
-    if (!started_[tid]) {
-      start_thread(tid, ev.time, hooks, false);
-      push_event(pending_[tid].time, tid);
-      continue;
-    }
-
-    HLSPROF_CHECK(has_pending_[tid], "event without pending action");
-    const Action a = pending_[tid];
-    has_pending_[tid] = 0;
-    if (commit_action(tid, a, hooks, false) == Commit::advanced) {
-      push_event(pending_[tid].time, tid);
-    }
-  }
-}
-
-void Simulator::run_fast(SimHooks* hooks) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Event ev = heap_.back();
-    heap_.pop_back();
-    HLSPROF_CHECK(
-        ev.time <= params_.max_cycles,
-        strf("simulation exceeded max_cycles (livelock guard): thread %d's "
-             "next event is at cycle %llu, past the limit of %llu",
-             int(ev.tid), (unsigned long long)ev.time,
-             (unsigned long long)params_.max_cycles));
+    check_cycle_limit(ev.tid, ev.time, params_.max_cycles);
     const thread_id_t tid = ev.tid;
 
     Commit c;
     if (!started_[tid]) {
-      start_thread(tid, ev.time, hooks, true);
+      started_[tid] = 1;
+      emit_state(hooks, tid, ThreadState::running, ev.time);
+      interps_[tid].start(ev.time);
+      advance(tid, batching_horizon());
       c = Commit::advanced;
     } else {
       HLSPROF_CHECK(has_pending_[tid], "event without pending action");
       const Action a = pending_[tid];
       has_pending_[tid] = 0;
-      c = commit_action(tid, a, hooks, true);
+      c = commit_action(tid, a, hooks);
     }
 
     // Direct dispatch: while this thread's next action is strictly earlier
     // than every other pending event, commit it inline instead of a heap
     // round-trip. Strict `<`: an equal-time event already in the heap
     // carries an older sequence number and must win the tie, exactly as
-    // it would in the reference loop.
+    // it would in the reference loop, which always takes the heap.
     while (c == Commit::advanced) {
       const cycle_t next_t = pending_[tid].time;
-      if (!heap_.empty() && next_t >= heap_.front().time) {
+      if (!dispatch || (!heap_.empty() && next_t >= heap_.front().time)) {
         push_event(next_t, tid);
         break;
       }
-      HLSPROF_CHECK(
-          next_t <= params_.max_cycles,
-          strf("simulation exceeded max_cycles (livelock guard): thread "
-               "%d's next action is at cycle %llu, past the limit of %llu",
-               int(tid), (unsigned long long)next_t,
-               (unsigned long long)params_.max_cycles));
+      check_cycle_limit(tid, next_t, params_.max_cycles);
       ++fast_stats_.direct_dispatch;
       const Action a = pending_[tid];
       has_pending_[tid] = 0;
-      c = commit_action(tid, a, hooks, true);
+      c = commit_action(tid, a, hooks);
     }
   }
 }
@@ -384,24 +346,19 @@ SimResult Simulator::run(SimHooks* hooks) {
     push_event(start_at, thread_id_t(t));
   }
 
+  run_events(hooks);
   ff_stats_ = FastForwardStats{};
-  if (params_.reference_event_loop) {
-    run_reference(hooks);
-  } else {
-    run_fast(hooks);
-    double residual_sum = 0.0;
-    for (const ThreadInterp& ti : interps_) {
-      fast_stats_.batched_mem +=
-          static_cast<std::uint64_t>(ti.batched_mem());
-      const ff::FfStats& fs = ti.ff_stats();
-      ff_stats_.phases += fs.phases;
-      ff_stats_.cycles_skipped += fs.cycles_skipped;
-      ff_stats_.model_rejects += fs.model_rejects;
-      residual_sum += fs.residual_sum;
-    }
-    if (ff_stats_.phases > 0) {
-      ff_stats_.model_residual = residual_sum / double(ff_stats_.phases);
-    }
+  double residual_sum = 0.0;
+  for (const ThreadInterp& ti : interps_) {
+    fast_stats_.batched_mem += static_cast<std::uint64_t>(ti.batched_mem());
+    const ff::FfStats& fs = ti.ff_stats();
+    ff_stats_.phases += fs.phases;
+    ff_stats_.cycles_skipped += fs.cycles_skipped;
+    ff_stats_.model_rejects += fs.model_rejects;
+    residual_sum += fs.residual_sum;
+  }
+  if (ff_stats_.phases > 0) {
+    ff_stats_.model_residual = residual_sum / double(ff_stats_.phases);
   }
 
   if (finished_count_ != T) {

@@ -98,8 +98,10 @@ class Simulator {
   ///
   /// Two execution modes produce cycle-exact identical results: the fast
   /// path (default — direct dispatch plus batched memory streams) and the
-  /// reference event loop (`SimParams::reference_event_loop`), which
-  /// commits every shared-resource action through the global event heap.
+  /// reference event loop (`SimParams::reference_event_loop`), the same
+  /// loop with both shortcuts off, so every shared-resource action goes
+  /// through the global event heap. Combining the reference loop with
+  /// `SimParams::fast_forward` is rejected at construction.
   SimResult run(SimHooks* hooks = nullptr);
 
   /// How often the previous run() stayed on the fast path. Zeros after a
@@ -157,13 +159,15 @@ class Simulator {
   cycle_t transfer_cycles(std::size_t bytes) const;
   std::vector<HostTransfer> transfers_;
   void push_event(cycle_t t, thread_id_t tid);
-  void advance(thread_id_t tid, bool allow_batching);
-  void start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks,
-                    bool allow_batching);
-  Commit commit_action(thread_id_t tid, const Action& a, SimHooks* hooks,
-                       bool allow_batching);
-  void run_reference(SimHooks* hooks);
-  void run_fast(SimHooks* hooks);
+  /// Resume `tid` to its next action, batching below `horizon`.
+  void advance(thread_id_t tid, cycle_t horizon);
+  cycle_t batching_horizon() const;
+  /// Resume a thread another thread's action released, onto the heap.
+  void wake(thread_id_t tid);
+  Commit commit_action(thread_id_t tid, const Action& a, SimHooks* hooks);
+  /// The event loop. The reference mode is the same loop with both
+  /// shortcuts off: no direct dispatch and a batching horizon of 0.
+  void run_events(SimHooks* hooks);
   void emit_state(SimHooks* hooks, thread_id_t tid, ThreadState s, cycle_t t);
 
   const hls::Design& d_;

@@ -1,7 +1,6 @@
 #include "trace/timed_trace.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -46,15 +45,6 @@ std::uint64_t TimedTrace::event_total(EventKind kind) const {
     if (e.kind == kind) total += e.value;
   }
   return total;
-}
-
-std::vector<std::pair<cycle_t, std::uint64_t>> TimedTrace::event_series(
-    EventKind kind) const {
-  std::map<cycle_t, std::uint64_t> acc;
-  for (const EventSample& e : events) {
-    if (e.kind == kind) acc[e.t] += e.value;
-  }
-  return {acc.begin(), acc.end()};
 }
 
 TimedTraceBuilder::TimedTraceBuilder(int num_threads, cycle_t sampling_period)

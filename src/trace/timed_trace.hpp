@@ -66,12 +66,6 @@ struct TimedTrace {
 
   /// Sum of event values of `kind` across threads and windows.
   std::uint64_t event_total(EventKind kind) const;
-
-  /// Per-window total of `kind` across threads: pairs (window_start, sum),
-  /// sorted by window start. Adjacent-window series for bandwidth /
-  /// FLOP-rate curves (paper Figs. 7-9).
-  std::vector<std::pair<cycle_t, std::uint64_t>> event_series(
-      EventKind kind) const;
 };
 
 /// Incremental timeline reconstruction: folds decoded records into state

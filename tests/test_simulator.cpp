@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "hls/compiler.hpp"
 #include "sim/simulator.hpp"
+#include "workloads/gemm.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"
 
@@ -286,6 +287,72 @@ TEST(SimulatorErrors, CycleLimitGuards) {
   sim.bind_f32("y", y);
   sim.bind_f32("z", z);
   EXPECT_THROW(sim.run(), Error);
+}
+
+TEST(SimulatorErrors, FastForwardWithReferenceLoopRejected) {
+  // The reference loop never raises the batching horizon, so fast-forward
+  // could never engage: the combination is refused up front.
+  hls::Design d = hls::compile(workloads::vecadd(64, 1, 1));
+  SimParams p = fast_params();
+  p.reference_event_loop = true;
+  p.fast_forward = true;
+  try {
+    Simulator sim(d, p, 1 << 20);
+    FAIL() << "the simulator accepted reference_event_loop + fast_forward";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("reference_event_loop"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("fast_forward"), std::string::npos) << msg;
+  }
+}
+
+TEST(SimulatorErrors, CycleLimitMessageNamesThreadCycleAndLimit) {
+  // One livelock guard for the heap, direct dispatch and the inline
+  // commits of plain requests and preload bursts: whichever trips first,
+  // the error names the thread and the limit, in both execution modes.
+  workloads::GemmConfig cfg;
+  cfg.dim = 32;
+  cfg.threads = 1;
+  const std::size_t nn = std::size_t(cfg.dim) * std::size_t(cfg.dim);
+  const auto a = workloads::random_matrix(cfg.dim, 11);
+  const auto b = workloads::random_matrix(cfg.dim, 12);
+  for (const bool preloaded : {true, false}) {
+    const hls::Design d = hls::compile(preloaded
+                                           ? workloads::gemm_preloaded(cfg)
+                                           : workloads::gemm_no_critical(cfg));
+    for (const bool reference : {true, false}) {
+      auto run = [&](cycle_t max_cycles) {
+        SimParams p = fast_params();
+        p.reference_event_loop = reference;
+        p.max_cycles = max_cycles;
+        Simulator sim(d, p, 1 << 20);
+        std::vector<float> A = a;
+        std::vector<float> B = b;
+        std::vector<float> C(nn);
+        sim.bind_f32("A", A);
+        sim.bind_f32("B", B);
+        sim.bind_f32("C", C);
+        return sim.run();
+      };
+      const SimParams base = fast_params();
+      const cycle_t limit = run(base.max_cycles).kernel_start +
+                            base.host.thread_start_interval + 3000;
+      const std::string where =
+          std::string(preloaded ? "preloaded" : "no_critical") +
+          (reference ? "/reference" : "/fast");
+      try {
+        run(limit);
+        ADD_FAILURE() << where << ": ran past max_cycles without an error";
+      } catch (const Error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("thread 0"), std::string::npos)
+            << where << ": " << msg;
+        EXPECT_NE(msg.find("limit of " + std::to_string(limit)),
+                  std::string::npos)
+            << where << ": " << msg;
+      }
+    }
+  }
 }
 
 // ---- timing invariants ------------------------------------------------------------------
