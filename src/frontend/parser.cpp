@@ -297,7 +297,7 @@ class Parser {
         one->node = IntLit{1};
         auto bin = std::make_unique<Expr>();
         Binary b;
-        b.op = op[0] == '+' ? "+" : "-";
+        b.op = std::string(1, op[0]);
         b.lhs = make_lvalue_read();
         b.rhs = std::move(one);
         bin->node = std::move(b);

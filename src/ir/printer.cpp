@@ -139,7 +139,10 @@ class Printer {
       default:
         break;
     }
-    for (ValueId o : op.operands) rhs += " " + vname(o);
+    for (ValueId o : op.operands) {
+      rhs += ' ';
+      rhs += vname(o);
+    }
     if (produces_value(op.opcode)) {
       line(strf("%s: %s = %s", vname(id).c_str(),
                 to_string(op.type).c_str(), rhs.c_str()));

@@ -1,8 +1,8 @@
 // Minimal Paraver .prv reader: parses header, state, event, and
-// communication records back into a TimedTrace (communication records are
-// parsed for completeness but the HLS toolchain never emits them — the
-// paper defers them to multi-FPGA future work). Used for round-trip tests
-// and for analyzing traces produced elsewhere.
+// communication records back into a TimedTrace (the writer emits
+// communication records for host<->device transfers, an extension beyond
+// the paper). Used for round-trip tests and for analyzing traces produced
+// elsewhere.
 #pragma once
 
 #include <string>
@@ -13,7 +13,7 @@ namespace hlsprof::paraver {
 
 /// Parse the textual content of a .prv file. Throws Error on malformed
 /// input. Unknown record types are rejected; communication records (type
-/// 3) are accepted and counted but not stored.
+/// 3) are stored in `trace.comms` and counted in `comm_records`.
 struct ParseResult {
   trace::TimedTrace trace;
   long long comm_records = 0;

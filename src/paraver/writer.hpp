@@ -28,8 +28,10 @@ struct ParaverFiles {
 ParaverFiles to_paraver(const trace::TimedTrace& trace,
                         const std::string& app_name);
 
-/// Write `<base>.prv`, `<base>.pcf`, `<base>.row`. Throws Error on I/O
-/// failure.
+/// Write `<base>.prv`, `<base>.pcf`, `<base>.row`. The .prv streams to
+/// the file in 64 KiB chunks from the same formatter to_paraver uses, so
+/// the bytes are identical and no whole-file string is built. Throws an
+/// Error naming the file on any I/O failure, including the final flush.
 void write_paraver(const trace::TimedTrace& trace, const std::string& app_name,
                    const std::string& base_path);
 

@@ -2,7 +2,12 @@
 // state-view renderer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <random>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "paraver/analysis.hpp"
@@ -116,6 +121,157 @@ TEST(Writer, FilesWrittenToDisk) {
   }
   const auto parsed = read_prv_file(base + ".prv");
   EXPECT_EQ(parsed.trace.num_threads, 2);
+}
+
+TEST(Writer, UnwritablePathNamesFile) {
+  const std::string base =
+      ::testing::TempDir() + "/hlsprof_no_such_dir/sub/trace";
+  try {
+    write_paraver(sample_trace(), "app", base);
+    FAIL() << "writing into a missing directory must throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(base + ".prv"), std::string::npos) << msg;
+  }
+}
+
+TEST(Writer, FailedWriteNamesFile) {
+  // <base>.prv is a link to /dev/full: the open succeeds and every write
+  // fails with ENOSPC, as on a full disk.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string base = ::testing::TempDir() + "/hlsprof_full_device";
+  std::filesystem::remove(base + ".prv");
+  std::filesystem::create_symlink("/dev/full", base + ".prv");
+  try {
+    write_paraver(sample_trace(), "app", base);
+    FAIL() << "a write to a full device must throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(base + ".prv"), std::string::npos) << msg;
+  }
+  std::filesystem::remove(base + ".prv");
+}
+
+// ---- writer differential test ---------------------------------------------
+
+// A per-record snprintf formatter for .prv, written from the format
+// description independently of the writer.
+std::string reference_prv(const TimedTrace& t) {
+  std::string out;
+  char line[512];
+  const auto add = [&](int n) {
+    ASSERT_GT(n, 0);
+    ASSERT_LT(std::size_t(n), sizeof line);
+    out.append(line, std::size_t(n));
+  };
+  add(std::snprintf(line, sizeof line,
+                    "#Paraver (07/07/2026 at 12:00):%llu:1(%d):1:1(%d:1)\n",
+                    (unsigned long long)t.duration, t.num_threads,
+                    t.num_threads));
+  for (int th = 0; th < t.num_threads; ++th) {
+    for (const StateInterval& iv : t.thread_states[std::size_t(th)]) {
+      add(std::snprintf(line, sizeof line, "1:%d:1:1:%d:%llu:%llu:%d\n",
+                        th + 1, th + 1, (unsigned long long)iv.begin,
+                        (unsigned long long)iv.end, state_id(iv.state)));
+    }
+  }
+  for (const EventSample& e : t.events) {
+    add(std::snprintf(line, sizeof line, "2:%u:1:1:%u:%llu:%d:%llu\n",
+                      e.thread + 1, e.thread + 1, (unsigned long long)e.t,
+                      event_type_id(e.kind), (unsigned long long)e.value));
+  }
+  for (const trace::CommRecord& c : t.comms) {
+    add(std::snprintf(
+        line, sizeof line, "3:%u:1:1:%u:%llu:%llu:%u:1:1:%u:%llu:%llu:%llu:%d\n",
+        c.thread + 1, c.thread + 1, (unsigned long long)c.send,
+        (unsigned long long)c.send, c.thread + 1, c.thread + 1,
+        (unsigned long long)c.recv, (unsigned long long)c.recv,
+        (unsigned long long)c.bytes, c.tag));
+  }
+  return out;
+}
+
+// 8 threads and about 200k records, several MB of .prv, so the writer's
+// chunk refills many times. Numbers mix the edge values 0 and UINT64_MAX
+// with short and full-width random ones.
+TimedTrace random_trace(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto number = [&rng]() -> std::uint64_t {
+    switch (rng() % 8) {
+      case 0: return 0;
+      case 1: return UINT64_MAX;
+      case 2: return rng() % 10;
+      case 3: return rng() % 100000;
+      default: return rng() >> (rng() % 64);
+    }
+  };
+  TimedTrace t;
+  t.num_threads = 8;
+  t.duration = UINT64_MAX;
+  t.sampling_period = 256;
+  t.thread_states.resize(8);
+  for (auto& states : t.thread_states) {
+    for (int i = 0; i < 2000; ++i) {
+      states.push_back({ThreadState(rng() % 4), number(), number()});
+    }
+  }
+  for (int i = 0; i < 200000; ++i) {
+    t.events.push_back({EventKind(1 + rng() % 5),
+                        thread_id_t(i % 97 == 0 ? 7 : rng() % 8), number(),
+                        number()});
+  }
+  for (int i = 0; i < 500; ++i) {
+    t.comms.push_back({thread_id_t(i % 2 == 0 ? 7 : rng() % 8), number(),
+                       number(), number(),
+                       i % 3 == 0 ? trace::kCommTagFromDevice
+                                  : trace::kCommTagToDevice});
+  }
+  return t;
+}
+
+TEST(Writer, MatchesPerRecordReferenceAcrossChunks) {
+  const TimedTrace t = random_trace(20201);
+  const std::string prv = to_paraver(t, "app").prv;
+  ASSERT_GT(prv.size(), std::size_t(4) << 20) << "too small to refill often";
+  ASSERT_EQ(prv, reference_prv(t));
+
+  const std::string base = ::testing::TempDir() + "/hlsprof_writer_diff";
+  write_paraver(t, "app", base);
+  std::ifstream f(base + ".prv", std::ios::binary);
+  ASSERT_TRUE(f.good());
+  std::ostringstream on_disk;
+  on_disk << f.rdbuf();
+  EXPECT_TRUE(on_disk.str() == prv) << "write_paraver bytes differ";
+
+  const TimedTrace back = parse_prv(prv).trace;
+  EXPECT_EQ(back.num_threads, t.num_threads);
+  EXPECT_EQ(back.duration, t.duration);
+  ASSERT_EQ(back.thread_states.size(), t.thread_states.size());
+  for (std::size_t th = 0; th < t.thread_states.size(); ++th) {
+    ASSERT_EQ(back.thread_states[th].size(), t.thread_states[th].size());
+    for (std::size_t i = 0; i < t.thread_states[th].size(); ++i) {
+      const StateInterval& a = t.thread_states[th][i];
+      const StateInterval& b = back.thread_states[th][i];
+      ASSERT_TRUE(a.state == b.state && a.begin == b.begin && a.end == b.end)
+          << "thread " << th << " interval " << i;
+    }
+  }
+  ASSERT_EQ(back.events.size(), t.events.size());
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    const EventSample& a = t.events[i];
+    const EventSample& b = back.events[i];
+    ASSERT_TRUE(a.kind == b.kind && a.thread == b.thread && a.t == b.t &&
+                a.value == b.value)
+        << "event " << i;
+  }
+  ASSERT_EQ(back.comms.size(), t.comms.size());
+  for (std::size_t i = 0; i < t.comms.size(); ++i) {
+    const trace::CommRecord& a = t.comms[i];
+    const trace::CommRecord& b = back.comms[i];
+    ASSERT_TRUE(a.thread == b.thread && a.send == b.send &&
+                a.recv == b.recv && a.bytes == b.bytes && a.tag == b.tag)
+        << "comm " << i;
+  }
 }
 
 // ---- reader / round-trip ------------------------------------------------------

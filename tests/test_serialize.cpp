@@ -26,6 +26,9 @@ namespace {
 
 std::vector<std::pair<std::string, ir::Kernel>> sample_kernels() {
   std::vector<std::pair<std::string, ir::Kernel>> out;
+  // Without the reserve, GCC 12 -O3 reports a false -Warray-bounds in the
+  // first emplace_back's reallocation.
+  out.reserve(11);
   workloads::GemmConfig g;
   g.dim = 8;
   g.threads = 2;

@@ -292,10 +292,17 @@ ir::Kernel random_kernel(std::uint64_t seed) {
   ir::Val tid = kb.thread_id();
   ir::Val nt = kb.num_threads_val();
 
+  // Appending, rather than `"i" + std::to_string(ph)`, keeps GCC 12 -O3
+  // free of a false -Wrestrict.
+  const auto label = [](char stem, int ph) {
+    std::string s(1, stem);
+    s += std::to_string(ph);
+    return s;
+  };
   for (int ph = 0; ph < phases; ++ph) {
     switch (rng.next_below(3)) {
       case 0: {  // strided elementwise update
-        kb.for_loop("i" + std::to_string(ph), tid, kb.c32(n), nt,
+        kb.for_loop(label('i', ph), tid, kb.c32(n), nt,
                     [&](ir::Val i) {
                       ir::Val v = kb.load(x, i) + kb.load(y, i);
                       kb.store(y, i, v);
@@ -304,8 +311,8 @@ ir::Kernel random_kernel(std::uint64_t seed) {
       }
       case 1: {  // partial sum merged under a random lock
         const int lock = int(rng.next_below(std::uint64_t(locks)));
-        auto part = kb.var_init("p" + std::to_string(ph), kb.cf32(0.0));
-        kb.for_loop("j" + std::to_string(ph), tid, kb.c32(n), nt,
+        auto part = kb.var_init(label('p', ph), kb.cf32(0.0));
+        kb.for_loop(label('j', ph), tid, kb.c32(n), nt,
                     [&](ir::Val j) { part.set(part.get() + kb.load(x, j)); });
         kb.critical(lock, [&] {
           ir::Val idx = kb.c32(lock);
@@ -315,7 +322,7 @@ ir::Kernel random_kernel(std::uint64_t seed) {
       }
       default: {  // neighbour read that is only safe behind a barrier
         kb.barrier();
-        kb.for_loop("k" + std::to_string(ph), tid, kb.c32(n - 1), nt,
+        kb.for_loop(label('k', ph), tid, kb.c32(n - 1), nt,
                     [&](ir::Val k) {
                       kb.store(y, k,
                                kb.load(y, k + std::int64_t{1}) * 0.5 +
