@@ -10,12 +10,6 @@ BinnedSeries::BinnedSeries(cycle_t bin_width) : bin_width_(bin_width) {
   HLSPROF_CHECK(bin_width > 0, "bin width must be positive");
 }
 
-void BinnedSeries::add(cycle_t t, double amount) {
-  const std::size_t idx = static_cast<std::size_t>(t / bin_width_);
-  if (idx >= bins_.size()) bins_.resize(idx + 1, 0.0);
-  bins_[idx] += amount;
-}
-
 void BinnedSeries::add_range(cycle_t t0, cycle_t t1, double amount) {
   if (t1 <= t0) return;
   const double span = double(t1 - t0);

@@ -19,7 +19,15 @@ class BinnedSeries {
   explicit BinnedSeries(cycle_t bin_width);
 
   /// Add `amount` at cycle `t` (accumulated into t's bin).
-  void add(cycle_t t, double amount);
+  void add(cycle_t t, double amount) {
+    add_to_bin(static_cast<std::size_t>(t / bin_width_), amount);
+  }
+
+  /// Add `amount` to bin `i`, for callers that already know the bin.
+  void add_to_bin(std::size_t i, double amount) {
+    if (i >= bins_.size()) bins_.resize(i + 1, 0.0);
+    bins_[i] += amount;
+  }
 
   /// Add `amount` spread uniformly over [t0, t1). Used when a block of work
   /// with a known aggregate (e.g. k loop iterations' worth of FLOPs) spans

@@ -1,8 +1,12 @@
 #include "paraver/reader.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <climits>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -28,44 +32,68 @@ trace::EventKind kind_from_type(int type) {
   return trace::EventKind(k);
 }
 
+bool is_space(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+std::string_view trim_view(std::string_view s) {
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
+  return s;
+}
+
 /// Checked numeric field parse. .prv fields are non-negative decimal
 /// integers; anything else — text, sign, overflow, an empty field from a
 /// doubled separator — is a diagnostic naming the line and field, in the
-/// decoder's offset-error style, never an uncaught std::invalid_argument
-/// terminating the process.
-unsigned long long parse_u64_field(const std::string& raw, int lineno,
+/// decoder's offset-error style.
+unsigned long long parse_u64_field(std::string_view raw, int lineno,
                                    std::size_t field, const char* what) {
-  const std::string v = trim(raw);
-  try {
-    std::size_t used = 0;
-    const unsigned long long out = std::stoull(v, &used);
-    if (used != v.size() || v.empty() || v[0] == '-' || v[0] == '+') {
-      fail(strf("prv:%d: field %zu (%s): expected an unsigned integer, "
-                "got \"%s\"",
-                lineno, field + 1, what, raw.c_str()));
-    }
-    return out;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::out_of_range&) {
-    fail(strf("prv:%d: field %zu (%s): value \"%s\" out of 64-bit range",
-              lineno, field + 1, what, raw.c_str()));
-  } catch (const std::exception&) {
-    fail(strf("prv:%d: field %zu (%s): expected an unsigned integer, "
-              "got \"%s\"",
-              lineno, field + 1, what, raw.c_str()));
+  const std::string_view v = trim_view(raw);
+  // A leading sign is never valid, but a signed value that overflows is
+  // reported as out of range (strtoull's reading of it).
+  const bool sign = !v.empty() && (v.front() == '-' || v.front() == '+');
+  const char* first = v.data() + (sign ? 1 : 0);
+  const char* last = v.data() + v.size();
+  unsigned long long out = 0;
+  const auto [end, ec] = std::from_chars(first, last, out);
+  if (ec == std::errc::result_out_of_range) {
+    fail(strf("prv:%d: field %zu (%s): value \"%.*s\" out of 64-bit range",
+              lineno, field + 1, what, int(raw.size()), raw.data()));
   }
-}
-
-std::vector<unsigned long long> parse_fields(const std::string& line,
-                                             int lineno) {
-  std::vector<unsigned long long> out;
-  const std::vector<std::string> parts = split(line, ':');
-  out.reserve(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    out.push_back(parse_u64_field(parts[i], lineno, i, "record field"));
+  if (ec != std::errc{} || end != last || sign) {
+    fail(strf("prv:%d: field %zu (%s): expected an unsigned integer, "
+              "got \"%.*s\"",
+              lineno, field + 1, what, int(raw.size()), raw.data()));
   }
   return out;
+}
+
+/// Split `line` at ':' and parse every field into `out` (reused across
+/// lines, so a record costs no allocation).
+void parse_fields(std::string_view line, int lineno,
+                  std::vector<unsigned long long>& out) {
+  out.clear();
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (;;) {
+    // Every field the writer emits is 1 to 20 plain digits; up to 19
+    // cannot overflow, so they are accumulated here. Anything else
+    // (padding, a sign, text, 20 digits) takes the checked parse.
+    const char* q = p;
+    unsigned long long v = 0;
+    while (q != end && q - p < 19 && unsigned(*q - '0') < 10) {
+      v = v * 10 + unsigned(*q - '0');
+      ++q;
+    }
+    if (q == p || (q != end && *q != ':')) {
+      q = std::find(p, end, ':');
+      v = parse_u64_field(std::string_view(p, std::size_t(q - p)), lineno,
+                          out.size(), "record field");
+    }
+    out.push_back(v);
+    if (q == end) return;
+    p = q + 1;
+  }
 }
 
 /// Checked narrowing for fields consumed as int (thread ids, state ids,
@@ -86,23 +114,27 @@ ParseResult parse_prv(const std::string& prv_text) {
   ParseResult result;
   trace::TimedTrace& t = result.trace;
 
-  std::istringstream in(prv_text);
-  std::string line;
+  std::string_view rest = prv_text;
+  std::vector<unsigned long long> f;
   bool have_header = false;
   int lineno = 0;
-  while (std::getline(in, line)) {
+  while (!rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    std::string_view line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
     ++lineno;
-    line = trim(line);
+    line = trim_view(line);
     if (line.empty()) continue;
-    if (starts_with(line, "#Paraver")) {
+    if (line.starts_with("#Paraver")) {
       HLSPROF_CHECK(!have_header,
                     strf("prv:%d: duplicate #Paraver header", lineno));
       have_header = true;
       // #Paraver (...):endTime:nNodes(cpus):nAppl:appInfo
       const auto paren = line.find(')');
-      HLSPROF_CHECK(paren != std::string::npos,
+      HLSPROF_CHECK(paren != std::string_view::npos &&
+                        paren + 2 <= line.size(),
                     strf("prv:%d: malformed header", lineno));
-      const auto fields = split(line.substr(paren + 2), ':');
+      const auto fields = split(std::string(line.substr(paren + 2)), ':');
       HLSPROF_CHECK(fields.size() >= 4,
                     strf("prv:%d: malformed header field count", lineno));
       t.duration =
@@ -115,7 +147,8 @@ ParseResult parse_prv(const std::string& prv_text) {
       HLSPROF_CHECK(close2 != std::string::npos && close2 > open2,
                     strf("prv:%d: malformed node field", lineno));
       const int cpus = narrow_int(
-          parse_u64_field(fields[1].substr(open2 + 1, close2 - open2 - 1),
+          parse_u64_field(std::string_view(fields[1]).substr(
+                              open2 + 1, close2 - open2 - 1),
                           lineno, 1, "header cpu count"),
           lineno, 1, "header cpu count");
       t.num_threads = cpus;
@@ -124,7 +157,7 @@ ParseResult parse_prv(const std::string& prv_text) {
     }
     HLSPROF_CHECK(have_header,
                   strf("prv:%d: record before #Paraver header", lineno));
-    const auto f = parse_fields(line, lineno);
+    parse_fields(line, lineno, f);
     HLSPROF_CHECK(!f.empty(), strf("prv:%d: empty record", lineno));
     switch (f[0]) {
       case 1: {  // state: 1:cpu:appl:task:thread:begin:end:state
@@ -179,11 +212,15 @@ ParseResult parse_prv(const std::string& prv_text) {
 }
 
 ParseResult read_prv_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   HLSPROF_CHECK(f.good(), "cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_prv(ss.str());
+  // One read of the whole file into a buffer of its size.
+  std::string text(static_cast<std::size_t>(f.tellg()), '\0');
+  f.seekg(0);
+  f.read(text.data(), static_cast<std::streamsize>(text.size()));
+  HLSPROF_CHECK(f.gcount() == static_cast<std::streamsize>(text.size()),
+                "cannot read '" + path + "'");
+  return parse_prv(text);
 }
 
 }  // namespace hlsprof::paraver

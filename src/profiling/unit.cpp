@@ -45,6 +45,8 @@ ProfilingUnit::ProfilingUnit(const hls::Design& design,
   for (int i = 0; i < kMetrics * T_; ++i) {
     bins_.emplace_back(cfg_.sampling_period);
   }
+  finalize_lag_ = std::max(cfg_.finalize_lag, cfg_.sampling_period);
+  if (cfg_.any_events()) close_at_ = cfg_.sampling_period + finalize_lag_;
 }
 
 void ProfilingUnit::note_time(cycle_t t) {
@@ -52,10 +54,10 @@ void ProfilingUnit::note_time(cycle_t t) {
   // Finalize windows a bounded lag behind the high-water mark:
   // late-arriving aggregates (concurrent-branch compute, request-side
   // skew the paper also accepts) are still accounted within the lag.
-  const cycle_t lag = std::max(cfg_.finalize_lag, cfg_.sampling_period);
-  if (cfg_.any_events() && high_water_ > lag) {
-    finalize_windows_up_to(high_water_ - lag);
-  }
+  if (high_water_ < close_at_ || !cfg_.any_events()) return;
+  finalize_windows_up_to(high_water_ - finalize_lag_);
+  close_at_ =
+      (cycle_t(next_window_) + 1) * cfg_.sampling_period + finalize_lag_;
 }
 
 void ProfilingUnit::on_state(thread_id_t tid, sim::ThreadState state,
@@ -89,7 +91,8 @@ void ProfilingUnit::append_state_record(cycle_t t) {
 void ProfilingUnit::on_stall(thread_id_t tid, cycle_t t, cycle_t cycles) {
   if (!cfg_.enable_stall_events) return;
   note_time(t);
-  bins_[std::size_t(0 * T_ + int(tid))].add(t, double(cycles));
+  bins_[std::size_t(0 * T_ + int(tid))].add_to_bin(window_of(t),
+                                                   double(cycles));
 }
 
 void ProfilingUnit::on_compute(thread_id_t tid, long long int_ops,
@@ -114,7 +117,8 @@ void ProfilingUnit::on_mem(thread_id_t tid, cycle_t t, std::uint32_t bytes,
                            bool is_write) {
   if (!cfg_.enable_memory_events) return;
   note_time(t);
-  bins_[std::size_t((is_write ? 4 : 3) * T_ + int(tid))].add(t, double(bytes));
+  bins_[std::size_t((is_write ? 4 : 3) * T_ + int(tid))].add_to_bin(
+      window_of(t), double(bytes));
 }
 
 void ProfilingUnit::on_mem_span(thread_id_t tid, cycle_t t0, cycle_t t1,

@@ -83,6 +83,15 @@ class ProfilingUnit final : public sim::SimHooks {
   void maybe_flush(cycle_t t, bool force);
   void finalize_windows_up_to(cycle_t t);
   void note_time(cycle_t t);
+  /// Sampling window of point-event cycle `t`; divides only when `t`
+  /// leaves the cached window.
+  std::size_t window_of(cycle_t t) {
+    if (t - cur_window_start_ >= cfg_.sampling_period) {  // also t < start
+      cur_window_ = static_cast<std::size_t>(t / cfg_.sampling_period);
+      cur_window_start_ = cycle_t(cur_window_) * cfg_.sampling_period;
+    }
+    return cur_window_;
+  }
   void emit_window(std::size_t w, cycle_t t_emit);
 
   const hls::Design& d_;
@@ -110,6 +119,14 @@ class ProfilingUnit final : public sim::SimHooks {
   std::vector<BinnedSeries> bins_;  // kMetrics * T series
   std::size_t next_window_ = 0;     // first unemitted window index
   cycle_t high_water_ = 0;
+  // note_time finalizes windows a bounded lag behind high_water_; it does
+  // so once high_water_ reaches close_at_, the end of window next_window_
+  // plus the lag (kNoCycle with every event collector off).
+  cycle_t finalize_lag_ = 0;
+  cycle_t close_at_ = kNoCycle;
+  // window_of's cache: the last point event's window and its start.
+  std::size_t cur_window_ = 0;
+  cycle_t cur_window_start_ = 0;
 
   long long state_records_ = 0;
   long long event_records_ = 0;

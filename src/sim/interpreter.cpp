@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -79,6 +80,14 @@ Action ThreadInterp::resume() {
   HLSPROF_CHECK(suspend_ == Suspend::none,
                 "resume while waiting for a response");
   Action a;
+  // A batched run that suspended on a memory request continues in the
+  // batched executor once the request has committed.
+  if (const auto* ids = std::exchange(batched_resume_, nullptr)) {
+    if (run_batched_iterations(static_cast<std::size_t>(active_pipe_), *ids,
+                               a)) {
+      return a;
+    }
+  }
   while (true) {
     if (frames_.empty()) {
       flush_compute(time_);
@@ -357,7 +366,7 @@ bool ThreadInterp::run_batched_iterations(std::size_t loop_at,
           // Another thread has an event at or before `issue`: hand the
           // request to the generic path, which re-derives it and returns
           // the Action for the event loop to commit in global order.
-          return exec_op(id, out);
+          return suspend_batched(ids, exec_op(id, out));
         }
         pending_op_ = id;
         pending_addr_ = ext_addr(op, scalar_i(op.operands[0]));
@@ -368,7 +377,8 @@ bool ThreadInterp::run_batched_iterations(std::size_t loop_at,
         if (ph != nullptr) ph->note_mem(pending_addr_, tm.row_hit);
         ++batched_mem_;
       } else if (oc == Opcode::preload) {
-        if (exec_op(id, out)) return true;  // batched inline or suspended
+        // Batched inline, or suspended on the preload's Action.
+        if (exec_op(id, out)) return suspend_batched(ids, true);
       } else {
         eval_pure(op, id);
         ++rf.idx;
@@ -892,8 +902,121 @@ void ThreadInterp::do_local_store(const Op& op) {
   }
 }
 
+// ---- Lane kernels ----------------------------------------------------------
+// eval_pure picks the operation and the scalar rounding (f32 rounds
+// through float, i32 wraps) once per op; each kernel below is then one
+// straight loop over the lanes with the same per-lane expression. The
+// integer arithmetic wraps in two's complement (through uint64), as the
+// hardware's adders and multipliers do, so overflow is defined.
+namespace {
+
+/// out[l] = f(l) for every lane, wrapped to i32 when `sc` is i32.
+template <class F>
+void int_lanes(ir::Scalar sc, RtVal& out, std::size_t n, F f) {
+  std::int64_t* __restrict o = out.i.data();
+  if (sc == ir::Scalar::i32) {
+    for (std::size_t l = 0; l < n; ++l) o[l] = wrap_int(ir::Scalar::i32, f(l));
+  } else {
+    for (std::size_t l = 0; l < n; ++l) o[l] = f(l);
+  }
+}
+
+/// out[l] = f(l) for every lane, rounded through float when `sc` is f32.
+template <class F>
+void fp_lanes(ir::Scalar sc, RtVal& out, std::size_t n, F f) {
+  double* __restrict o = out.f.data();
+  if (sc == ir::Scalar::f32) {
+    for (std::size_t l = 0; l < n; ++l) o[l] = double(float(f(l)));
+  } else {
+    for (std::size_t l = 0; l < n; ++l) o[l] = f(l);
+  }
+}
+
+template <class F>
+void int_binary(ir::Scalar sc, RtVal& out, const RtVal& a, const RtVal& b,
+                std::size_t n, F f) {
+  const std::int64_t* x = a.i.data();
+  const std::int64_t* y = b.i.data();
+  int_lanes(sc, out, n, [&](std::size_t l) { return f(x[l], y[l]); });
+}
+
+template <class F>
+void fp_binary(ir::Scalar sc, RtVal& out, const RtVal& a, const RtVal& b,
+               std::size_t n, F f) {
+  const double* x = a.f.data();
+  const double* y = b.f.data();
+  fp_lanes(sc, out, n, [&](std::size_t l) { return f(x[l], y[l]); });
+}
+
+// Lambdas, not functions: each has its own type, so every lane kernel
+// instantiated with one inlines it (a function pointer would be an
+// indirect call per lane).
+constexpr auto wrap_add = [](std::int64_t x, std::int64_t y) {
+  return std::int64_t(std::uint64_t(x) + std::uint64_t(y));
+};
+constexpr auto wrap_sub = [](std::int64_t x, std::int64_t y) {
+  return std::int64_t(std::uint64_t(x) - std::uint64_t(y));
+};
+constexpr auto wrap_mul = [](std::int64_t x, std::int64_t y) {
+  return std::int64_t(std::uint64_t(x) * std::uint64_t(y));
+};
+
+using I64 = std::int64_t;
+
+void int_binary_op(Opcode oc, ir::Scalar sc, RtVal& out, const RtVal& a,
+                   const RtVal& b, std::size_t n) {
+  switch (oc) {
+    case Opcode::add: return int_binary(sc, out, a, b, n, wrap_add);
+    case Opcode::sub: return int_binary(sc, out, a, b, n, wrap_sub);
+    case Opcode::mul: return int_binary(sc, out, a, b, n, wrap_mul);
+    case Opcode::divs:
+      // x / -1 is the wrapping negation (INT64_MIN / -1 would trap).
+      return int_binary(sc, out, a, b, n, [](I64 x, I64 y) {
+        HLSPROF_CHECK(y != 0, "integer division by zero in kernel");
+        return y == -1 ? wrap_sub(0, x) : x / y;
+      });
+    case Opcode::rems:
+      return int_binary(sc, out, a, b, n, [](I64 x, I64 y) {
+        HLSPROF_CHECK(y != 0, "integer remainder by zero in kernel");
+        return y == -1 ? I64(0) : x % y;
+      });
+    case Opcode::and_:
+      return int_binary(sc, out, a, b, n, [](I64 x, I64 y) { return x & y; });
+    case Opcode::or_:
+      return int_binary(sc, out, a, b, n, [](I64 x, I64 y) { return x | y; });
+    case Opcode::xor_:
+      return int_binary(sc, out, a, b, n, [](I64 x, I64 y) { return x ^ y; });
+    case Opcode::shl:
+      return int_binary(sc, out, a, b, n, [](I64 x, I64 y) {
+        return I64(std::uint64_t(x) << (y & 63));
+      });
+    case Opcode::ashr:
+      return int_binary(sc, out, a, b, n,
+                        [](I64 x, I64 y) { return x >> (y & 63); });
+    default: fail("not an integer binary op");
+  }
+}
+
+void fp_binary_op(Opcode oc, ir::Scalar sc, RtVal& out, const RtVal& a,
+                  const RtVal& b, std::size_t n) {
+  switch (oc) {
+    case Opcode::fadd:
+      return fp_binary(sc, out, a, b, n, [](double x, double y) { return x + y; });
+    case Opcode::fsub:
+      return fp_binary(sc, out, a, b, n, [](double x, double y) { return x - y; });
+    case Opcode::fmul:
+      return fp_binary(sc, out, a, b, n, [](double x, double y) { return x * y; });
+    case Opcode::fdiv:
+      return fp_binary(sc, out, a, b, n, [](double x, double y) { return x / y; });
+    default: fail("not a float binary op");
+  }
+}
+
+}  // namespace
+
 void ThreadInterp::eval_pure(const Op& op, ValueId id) {
   const int lanes = op.type.lanes;
+  const auto n = static_cast<std::size_t>(lanes);
   const ir::Scalar sc = op.type.scalar;
   const bool fp = op.type.is_float();
 
@@ -933,44 +1056,13 @@ void ThreadInterp::eval_pure(const Op& op, ValueId id) {
     case Opcode::or_:
     case Opcode::xor_:
     case Opcode::shl:
-    case Opcode::ashr: {
-      const RtVal& a = A(0);
-      const RtVal& b = A(1);
-      for (int l = 0; l < lanes; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        const std::int64_t x = a.i[li];
-        const std::int64_t y = b.i[li];
-        std::int64_t r = 0;
-        switch (op.opcode) {
-          case Opcode::add: r = x + y; break;
-          case Opcode::sub: r = x - y; break;
-          case Opcode::mul: r = x * y; break;
-          case Opcode::divs:
-            HLSPROF_CHECK(y != 0, "integer division by zero in kernel");
-            r = x / y;
-            break;
-          case Opcode::rems:
-            HLSPROF_CHECK(y != 0, "integer remainder by zero in kernel");
-            r = x % y;
-            break;
-          case Opcode::and_: r = x & y; break;
-          case Opcode::or_: r = x | y; break;
-          case Opcode::xor_: r = x ^ y; break;
-          case Opcode::shl: r = x << (y & 63); break;
-          case Opcode::ashr: r = x >> (y & 63); break;
-          default: break;
-        }
-        out.i[li] = wrap_int(sc, r);
-      }
+    case Opcode::ashr:
+      int_binary_op(op.opcode, sc, out, A(0), A(1), n);
       acc_int_ += lanes;
       break;
-    }
     case Opcode::neg: {
-      const RtVal& a = A(0);
-      for (int l = 0; l < lanes; ++l) {
-        out.i[static_cast<std::size_t>(l)] =
-            wrap_int(sc, -a.i[static_cast<std::size_t>(l)]);
-      }
+      const std::int64_t* x = A(0).i.data();
+      int_lanes(sc, out, n, [x](std::size_t l) { return wrap_sub(0, x[l]); });
       acc_int_ += lanes;
       break;
     }
@@ -1023,68 +1115,42 @@ void ThreadInterp::eval_pure(const Op& op, ValueId id) {
     case Opcode::fadd:
     case Opcode::fsub:
     case Opcode::fmul:
-    case Opcode::fdiv: {
-      if (!params_.functional) {
-        acc_fp_ += lanes;
-        break;
-      }
-      const RtVal& a = A(0);
-      const RtVal& b = A(1);
-      for (int l = 0; l < lanes; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        const double x = a.f[li];
-        const double y = b.f[li];
-        double r = 0.0;
-        switch (op.opcode) {
-          case Opcode::fadd: r = x + y; break;
-          case Opcode::fsub: r = x - y; break;
-          case Opcode::fmul: r = x * y; break;
-          case Opcode::fdiv: r = x / y; break;
-          default: break;
-        }
-        out.f[li] = round_to(sc, r);
-      }
+    case Opcode::fdiv:
+      if (params_.functional) fp_binary_op(op.opcode, sc, out, A(0), A(1), n);
       acc_fp_ += lanes;
       break;
-    }
     case Opcode::fneg: {
       if (params_.functional) {
-        const RtVal& a = A(0);
-        for (int l = 0; l < lanes; ++l) {
-          out.f[static_cast<std::size_t>(l)] =
-              -a.f[static_cast<std::size_t>(l)];
-        }
+        const double* x = A(0).f.data();
+        double* __restrict o = out.f.data();
+        for (std::size_t l = 0; l < n; ++l) o[l] = -x[l];
       }
       acc_fp_ += lanes;
       break;
     }
     case Opcode::cast: {
-      const Op& src_op = op_at(op.operands[0]);
+      const bool src_fp = op_at(op.operands[0]).type.is_float();
       const RtVal& a = A(0);
-      for (int l = 0; l < lanes; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        if (fp && src_op.type.is_float()) {
-          out.f[li] = round_to(sc, a.f[li]);
-        } else if (fp) {
-          out.f[li] = round_to(sc, double(a.i[li]));
-        } else if (src_op.type.is_float()) {
-          out.i[li] = wrap_int(sc, std::int64_t(a.f[li]));
-        } else {
-          out.i[li] = wrap_int(sc, a.i[li]);
-        }
+      const std::int64_t* xi = a.i.data();
+      const double* xf = a.f.data();
+      if (fp && src_fp) {
+        fp_lanes(sc, out, n, [xf](std::size_t l) { return xf[l]; });
+      } else if (fp) {
+        fp_lanes(sc, out, n, [xi](std::size_t l) { return double(xi[l]); });
+      } else if (src_fp) {
+        int_lanes(sc, out, n, [xf](std::size_t l) { return trunc_to_i64(xf[l]); });
+      } else {
+        int_lanes(sc, out, n, [xi](std::size_t l) { return xi[l]; });
       }
       acc_int_ += lanes;
       break;
     }
     case Opcode::broadcast: {
       const RtVal& a = A(0);
-      for (int l = 0; l < lanes; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        if (fp) {
-          out.f[li] = a.f[0];
-        } else {
-          out.i[li] = a.i[0];
-        }
+      if (fp) {
+        std::fill_n(out.f.begin(), lanes, a.f[0]);
+      } else {
+        std::fill_n(out.i.begin(), lanes, a.i[0]);
       }
       break;
     }
@@ -1110,21 +1176,22 @@ void ThreadInterp::eval_pure(const Op& op, ValueId id) {
       break;
     }
     case Opcode::reduce_add: {
-      const Op& src_op = op_at(op.operands[0]);
       const RtVal& a = A(0);
-      const int n = src_op.type.lanes;
+      const int m = op_at(op.operands[0]).type.lanes;
       if (fp) {
         double s = 0.0;
-        for (int l = 0; l < n; ++l) {
-          s = round_to(sc, s + a.f[static_cast<std::size_t>(l)]);
+        if (sc == ir::Scalar::f32) {
+          for (int l = 0; l < m; ++l) s = double(float(s + a.f[std::size_t(l)]));
+        } else {
+          for (int l = 0; l < m; ++l) s += a.f[std::size_t(l)];
         }
         out.f[0] = s;
-        acc_fp_ += n - 1;
+        acc_fp_ += m - 1;
       } else {
         std::int64_t s = 0;
-        for (int l = 0; l < n; ++l) s += a.i[static_cast<std::size_t>(l)];
+        for (int l = 0; l < m; ++l) s = wrap_add(s, a.i[std::size_t(l)]);
         out.i[0] = wrap_int(sc, s);
-        acc_int_ += n - 1;
+        acc_int_ += m - 1;
       }
       break;
     }

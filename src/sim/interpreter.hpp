@@ -197,6 +197,14 @@ class ThreadInterp {
   bool run_batched_iterations(std::size_t loop_at,
                               const std::vector<ir::ValueId>& ids,
                               Action& out);
+  /// The batched executor returns an Action (`suspended`): remember its
+  /// body so the next resume() re-enters it mid-iteration. Approx mode
+  /// re-enters only at iteration boundaries, where ff::LoopPhase tracks
+  /// iterations from their start.
+  bool suspend_batched(const std::vector<ir::ValueId>& ids, bool suspended) {
+    if (suspended && !ff_on_) batched_resume_ = &ids;
+    return suspended;
+  }
   /// Memoized straight-line decode of a loop body: the body's ops in
   /// order, or nullptr if the region contains non-op statements.
   const std::vector<ir::ValueId>* simple_body(const ir::Region& r);
@@ -285,6 +293,9 @@ class ThreadInterp {
   std::int64_t pending_dst_index_ = 0;  // preload destination
   std::int64_t pending_count_ = 0;      // preload element count
   int active_pipe_ = -1;  // index into frames_ of active pipelined loop
+  /// Body of the batched run suspended on a memory request (see
+  /// suspend_batched); nullptr otherwise.
+  const std::vector<ir::ValueId>* batched_resume_ = nullptr;
   cycle_t mem_horizon_ = 0;     // batching horizon; 0 = disabled
   long long batched_mem_ = 0;   // inline-committed memory requests
 

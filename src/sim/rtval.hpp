@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 
 #include "ir/type.hpp"
 
@@ -27,6 +28,14 @@ inline std::int64_t wrap_int(ir::Scalar s, std::int64_t x) {
   return s == ir::Scalar::i32
              ? std::int64_t(std::int32_t(std::uint32_t(std::uint64_t(x))))
              : x;
+}
+
+/// double -> int64 truncation toward zero, defined for every input: NaN
+/// and values outside int64's range give INT64_MIN, the "integer
+/// indefinite" result of x86's cvttsd2si.
+inline std::int64_t trunc_to_i64(double x) {
+  return x >= -0x1p63 && x < 0x1p63 ? std::int64_t(x)
+                                    : std::numeric_limits<std::int64_t>::min();
 }
 
 }  // namespace hlsprof::sim

@@ -229,21 +229,8 @@ TimedTrace random_trace(std::uint64_t seed) {
   return t;
 }
 
-TEST(Writer, MatchesPerRecordReferenceAcrossChunks) {
-  const TimedTrace t = random_trace(20201);
-  const std::string prv = to_paraver(t, "app").prv;
-  ASSERT_GT(prv.size(), std::size_t(4) << 20) << "too small to refill often";
-  ASSERT_EQ(prv, reference_prv(t));
-
-  const std::string base = ::testing::TempDir() + "/hlsprof_writer_diff";
-  write_paraver(t, "app", base);
-  std::ifstream f(base + ".prv", std::ios::binary);
-  ASSERT_TRUE(f.good());
-  std::ostringstream on_disk;
-  on_disk << f.rdbuf();
-  EXPECT_TRUE(on_disk.str() == prv) << "write_paraver bytes differ";
-
-  const TimedTrace back = parse_prv(prv).trace;
+/// `back` (a parsed .prv) holds exactly `t`'s records, in order.
+void expect_same_records(const TimedTrace& back, const TimedTrace& t) {
   EXPECT_EQ(back.num_threads, t.num_threads);
   EXPECT_EQ(back.duration, t.duration);
   ASSERT_EQ(back.thread_states.size(), t.thread_states.size());
@@ -274,6 +261,23 @@ TEST(Writer, MatchesPerRecordReferenceAcrossChunks) {
   }
 }
 
+TEST(Writer, MatchesPerRecordReferenceAcrossChunks) {
+  const TimedTrace t = random_trace(20201);
+  const std::string prv = to_paraver(t, "app").prv;
+  ASSERT_GT(prv.size(), std::size_t(4) << 20) << "too small to refill often";
+  ASSERT_EQ(prv, reference_prv(t));
+
+  const std::string base = ::testing::TempDir() + "/hlsprof_writer_diff";
+  write_paraver(t, "app", base);
+  std::ifstream f(base + ".prv", std::ios::binary);
+  ASSERT_TRUE(f.good());
+  std::ostringstream on_disk;
+  on_disk << f.rdbuf();
+  EXPECT_TRUE(on_disk.str() == prv) << "write_paraver bytes differ";
+
+  expect_same_records(parse_prv(prv).trace, t);
+}
+
 // ---- reader / round-trip ------------------------------------------------------
 
 TEST(Reader, RoundTripPreservesStatesAndEvents) {
@@ -299,6 +303,68 @@ TEST(Reader, RoundTripPreservesStatesAndEvents) {
     EXPECT_EQ(t.events[i].t, original.events[i].t);
     EXPECT_EQ(t.events[i].value, original.events[i].value);
   }
+}
+
+TEST(Reader, ReadsMultiMegabyteWrittenFileRecordForRecord) {
+  const TimedTrace t = random_trace(4242);
+  const std::string base = ::testing::TempDir() + "/hlsprof_reader_diff";
+  write_paraver(t, "app", base);
+  ASSERT_GT(std::filesystem::file_size(base + ".prv"), std::uintmax_t(4) << 20);
+  const ParseResult back = read_prv_file(base + ".prv");
+  expect_same_records(back.trace, t);
+  EXPECT_EQ(back.comm_records, (long long)t.comms.size());
+  std::filesystem::remove(base + ".prv");
+  std::filesystem::remove(base + ".pcf");
+  std::filesystem::remove(base + ".row");
+}
+
+TEST(Reader, FieldDiagnosticsNameLineFieldAndRawText) {
+  const std::string header =
+      "#Paraver (07/07/2026 at 12:00):100:1(1):1:1(1:1)\n";
+  const auto message = [](const std::string& prv) -> std::string {
+    try {
+      parse_prv(prv);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const char* kExpected = ": expected an unsigned integer, got ";
+  EXPECT_EQ(message(header + "1:1:1:1:1:+5:10:1\n"),
+            std::string("prv:2: field 6 (record field)") + kExpected + "\"+5\"");
+  EXPECT_EQ(message(header + "1:1:1:1:1:-0:10:1\n"),
+            std::string("prv:2: field 6 (record field)") + kExpected + "\"-0\"");
+  EXPECT_EQ(message(header + "1:1:1:1:1:0x10:10:1\n"),
+            std::string("prv:2: field 6 (record field)") + kExpected +
+                "\"0x10\"");
+  EXPECT_EQ(message(header + "1:1:1:1:1:1 2:10:1\n"),
+            std::string("prv:2: field 6 (record field)") + kExpected +
+                "\"1 2\"");
+  EXPECT_EQ(message(header + "\n1:1:1:1:1:5:10:\n"),
+            std::string("prv:3: field 8 (record field)") + kExpected + "\"\"");
+  // Signed or trailing text after an overflowing number still reads as
+  // out of range, as strtoull reports it.
+  EXPECT_EQ(message(header + "1:1:1:1:1:-99999999999999999999:10:1\n"),
+            "prv:2: field 6 (record field): value "
+            "\"-99999999999999999999\" out of 64-bit range");
+  EXPECT_EQ(message(header + "1:1:1:1:1:5:99999999999999999999x:1\n"),
+            "prv:2: field 7 (record field): value "
+            "\"99999999999999999999x\" out of 64-bit range");
+  EXPECT_EQ(message("#Paraver (07/07/2026 at 12:00): 12 z:1(1):1:1(1:1)\n"),
+            std::string("prv:1: field 1 (header endTime)") + kExpected +
+                "\" 12 z\"");
+  // A header cut right after its ')' is malformed, not an escaped
+  // std::out_of_range.
+  EXPECT_EQ(message("#Paraver (07/07/2026 at 12:00)\n").rfind(
+                "check failed: ", 0),
+            0u);
+  // Padding around a field and CRLF line ends are accepted.
+  const ParseResult ok =
+      parse_prv(header + " 1 : 1:1:1:1: 5 :10:1 \r\n\r\n2:1:1:1:1:7:42000001:3");
+  ASSERT_EQ(ok.trace.thread_states[0].size(), 1u);
+  EXPECT_EQ(ok.trace.thread_states[0][0].begin, 5u);
+  ASSERT_EQ(ok.trace.events.size(), 1u);
+  EXPECT_EQ(ok.trace.events[0].value, 3u);
 }
 
 TEST(Reader, AcceptsCommunicationRecords) {

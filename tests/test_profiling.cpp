@@ -2,7 +2,13 @@
 // buffer/flush engine, DRAM round-trip decoding, and the overhead model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/hlsprof.hpp"
 #include "paraver/writer.hpp"
 #include "profiling/overhead.hpp"
@@ -143,6 +149,198 @@ TEST(ProfilingEvents, FinerPeriodMoreRecords) {
   const auto rf = run_dot(2, fine);
   EXPECT_GT(rf.event_records, rc.event_records);
   EXPECT_GT(rf.trace_bytes, rc.trace_bytes);
+}
+
+/// Per-window reference of the unit's event sampling: bins per (metric,
+/// thread) and window, point samples land in their cycle's window, spans
+/// spread uniformly, and a window is emitted once the high-water mark is
+/// the finalize lag past its end. Samples for an emitted window are lost.
+class RefSampler {
+ public:
+  RefSampler(const ProfilingConfig& cfg, int threads)
+      : cfg_(cfg), T_(threads), bins_(std::size_t(5 * threads)) {}
+
+  void point(int metric, int tid, cycle_t t, double amount) {
+    note(t);
+    bin(metric, tid, std::size_t(t / cfg_.sampling_period)) += amount;
+  }
+  void span(int metric, int tid, cycle_t t0, cycle_t t1, double amount) {
+    if (t1 > t0) {
+      const cycle_t P = cfg_.sampling_period;
+      for (cycle_t w = t0 / P; w <= (t1 - 1) / P; ++w) {
+        const cycle_t lo = std::max(t0, w * P);
+        const cycle_t hi = std::min(t1, (w + 1) * P);
+        bin(metric, tid, std::size_t(w)) +=
+            amount * double(hi - lo) / double(t1 - t0);
+      }
+    }
+    high_water_ = std::max(high_water_, t1);
+  }
+  void note(cycle_t t) {
+    high_water_ = std::max(high_water_, t);
+    const cycle_t lag = std::max(cfg_.finalize_lag, cfg_.sampling_period);
+    if (cfg_.any_events() && high_water_ > lag) emit_up_to(high_water_ - lag);
+  }
+  void finish(cycle_t t) {
+    high_water_ = std::max(high_water_, t);
+    if (cfg_.any_events()) emit_up_to(high_water_ + cfg_.sampling_period);
+  }
+  const std::vector<trace::EventRecord>& records() const { return records_; }
+
+ private:
+  double& bin(int metric, int tid, std::size_t w) {
+    auto& b = bins_[std::size_t(metric * T_ + tid)];
+    if (b.size() <= w) b.resize(w + 1, 0.0);
+    return b[w];
+  }
+  bool enabled(int m) const {
+    return m == 0 ? cfg_.enable_stall_events
+                  : m <= 2 ? cfg_.enable_compute_events
+                           : cfg_.enable_memory_events;
+  }
+  void emit_up_to(cycle_t limit) {
+    const cycle_t P = cfg_.sampling_period;
+    for (; (cycle_t(next_) + 1) * P <= limit; ++next_) {
+      for (int m = 0; m < 5; ++m) {
+        if (!enabled(m)) continue;
+        for (int t = 0; t < T_; ++t) {
+          const auto& b = bins_[std::size_t(m * T_ + t)];
+          const double raw = next_ < b.size() ? b[next_] : 0.0;
+          const auto v = std::uint64_t(std::llround(raw));
+          if (v == 0) continue;
+          trace::EventRecord r;
+          r.kind = EventKind(m + 1);
+          r.thread = std::uint8_t(t);
+          r.clock32 = std::uint32_t(cycle_t(next_) * P);
+          r.value = v;
+          records_.push_back(r);
+        }
+      }
+    }
+  }
+
+  ProfilingConfig cfg_;
+  int T_;
+  std::vector<std::vector<double>> bins_;
+  std::size_t next_ = 0;
+  cycle_t high_water_ = 0;
+  std::vector<trace::EventRecord> records_;
+};
+
+TEST(ProfilingEvents, RandomHookStreamMatchesReference) {
+  // The metric order the unit bins by matches EventKind's numbering.
+  ASSERT_EQ(int(EventKind::stall_cycles), 1);
+  ASSERT_EQ(int(EventKind::bytes_written), 5);
+  constexpr int T = 3;
+  const hls::Design d = hls::compile(workloads::dot(60, T));
+  SplitMix64 rng(0x5eed1e55ULL);
+  long long records_checked = 0;
+  for (int stream = 0; stream < 60; ++stream) {
+    ProfilingConfig cfg;
+    const cycle_t periods[] = {1, 7, 64, 100, 128};
+    cfg.sampling_period = periods[rng.next_below(5)];
+    const cycle_t lags[] = {0, cfg.sampling_period, 3 * cfg.sampling_period,
+                            1000};
+    cfg.finalize_lag = lags[rng.next_below(4)];
+    cfg.enable_states = rng.next_below(4) != 0;
+    cfg.enable_stall_events = rng.next_below(4) != 0;
+    cfg.enable_compute_events = rng.next_below(4) != 0;
+    cfg.enable_memory_events = rng.next_below(4) != 0;
+    cfg.buffer_lines = 8;
+    cfg.trace_region_bytes = std::size_t{4} << 20;
+    sim::ExternalMemory mem(sim::DramParams{}, std::size_t{8} << 20);
+    ProfilingUnit unit(d, cfg, mem);
+    RefSampler ref(cfg, T);
+
+    const cycle_t P = cfg.sampling_period;
+    cycle_t now = 0;
+    cycle_t high = 0;
+    for (int i = 0; i < 1500; ++i) {
+      // Mostly small forward steps; sometimes behind the last sample's
+      // window, behind the high-water mark, inside windows already
+      // emitted, or far ahead.
+      cycle_t t = now;
+      switch (rng.next_below(10)) {
+        case 0: t = now > 2 * P ? now - 1 - rng.next_below(2 * P) : 0; break;
+        case 1: t = high > 0 ? rng.next_below(high) : 0; break;
+        case 2: t = now + 5 * P + rng.next_below(40 * P); break;
+        default: t = now + rng.next_below(P + 3); break;
+      }
+      now = std::max(now, t);
+      const int tid = int(rng.next_below(T));
+      const cycle_t t1 = t + rng.next_below(6 * P + 2);
+      high = std::max(high, std::max(t, t1));
+      switch (rng.next_below(6)) {
+        case 0: {
+          const auto bytes = std::uint32_t(4 << rng.next_below(5));
+          const bool wr = rng.next_below(3) == 0;
+          unit.on_mem(thread_id_t(tid), t, bytes, wr);
+          if (cfg.enable_memory_events) ref.point(wr ? 4 : 3, tid, t, bytes);
+          break;
+        }
+        case 1: {
+          const cycle_t cycles = 1 + rng.next_below(50);
+          unit.on_stall(thread_id_t(tid), t, cycles);
+          if (cfg.enable_stall_events) ref.point(0, tid, t, double(cycles));
+          break;
+        }
+        case 2: {
+          const auto iops = (long long)rng.next_below(40);
+          const auto fops = (long long)rng.next_below(40);
+          unit.on_compute(thread_id_t(tid), iops, fops, t, t1);
+          if (cfg.enable_compute_events) {
+            if (iops > 0) ref.span(1, tid, t, t1, double(iops));
+            if (fops > 0) ref.span(2, tid, t, t1, double(fops));
+            if (iops == 0 && fops == 0) ref.span(1, tid, t, t1, 0.0);
+          }
+          break;
+        }
+        case 3: {
+          const std::uint64_t rd = rng.next_below(300);
+          const std::uint64_t wr = rng.next_below(2) * rng.next_below(300);
+          unit.on_mem_span(thread_id_t(tid), t, t1, rd, wr);
+          if (cfg.enable_memory_events) {
+            if (rd > 0) ref.span(3, tid, t, t1, double(rd));
+            if (wr > 0) ref.span(4, tid, t, t1, double(wr));
+            if (rd == 0 && wr == 0) ref.span(3, tid, t, t1, 0.0);
+          }
+          break;
+        }
+        case 4: {
+          const cycle_t cycles = rng.next_below(200);
+          unit.on_stall_span(thread_id_t(tid), t, t1, cycles);
+          if (cfg.enable_stall_events) ref.span(0, tid, t, t1, double(cycles));
+          break;
+        }
+        default: {
+          const auto st = sim::ThreadState(rng.next_below(4));
+          unit.on_state(thread_id_t(tid), st, t);
+          if (cfg.enable_states) ref.note(t);
+          break;
+        }
+      }
+    }
+    const cycle_t end = high + rng.next_below(3 * P);
+    unit.on_finish(end);
+    ref.finish(end);
+
+    const trace::DecodedTrace got = unit.decode();
+    const auto& want = ref.records();
+    ASSERT_EQ(got.events.size(), want.size()) << "stream " << stream;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const auto& g = got.events[k];
+      const auto& w = want[k];
+      ASSERT_TRUE(g.kind == w.kind && g.thread == w.thread &&
+                  g.clock32 == w.clock32 && g.value == w.value)
+          << "stream " << stream << " record " << k << ": got kind "
+          << int(g.kind) << " thread " << int(g.thread) << " clock "
+          << g.clock32 << " value " << g.value << ", want kind "
+          << int(w.kind) << " thread " << int(w.thread) << " clock "
+          << w.clock32 << " value " << w.value;
+    }
+    records_checked += (long long)want.size();
+  }
+  EXPECT_GT(records_checked, 10000);
 }
 
 // ---- buffer / flush engine ---------------------------------------------------------

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/hlsprof.hpp"
+#include "frontend/lower.hpp"
 #include "ir/builder.hpp"
 #include "paraver/writer.hpp"
 #include "workloads/gemm.hpp"
@@ -236,6 +240,62 @@ TEST_P(GemmVersionDiff, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(AllVersions, GemmVersionDiff,
                          ::testing::Values(0, 1, 2, 3, 4, 5));
+
+// 8 threads started 20 cycles apart overlap from the first iteration, so
+// requests keep meeting the batching horizon mid-iteration of a batched
+// loop body; the fast path resumes those threads inside the batched
+// executor, and must stay cycle-exact.
+sim::SimParams overlapping_params() {
+  sim::SimParams p;
+  p.host.thread_start_interval = 20;
+  return p;
+}
+
+class GemmOverlapDiff
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(GemmOverlapDiff, EightThreadsMatchReference) {
+  const auto [version, dim] = GetParam();
+  workloads::GemmConfig cfg;
+  cfg.dim = dim;
+  cfg.threads = 8;
+  const std::int64_t nn = std::int64_t(dim) * dim;
+  expect_modes_identical(
+      workloads::gemm_versions()[std::size_t(version)].build(cfg),
+      [&](sim::Simulator& s, HostBufs& h) {
+        s.bind_f32("A", h.in(workloads::random_matrix(dim, 61)));
+        s.bind_f32("B", h.in(workloads::random_matrix(dim, 62)));
+        s.bind_f32("C", h.out(std::vector<float>(std::size_t(nn), 0.0f)));
+      },
+      overlapping_params());
+}
+
+// Naive, no-critical and vectorized GEMM at dim 16 and 32.
+INSTANTIATE_TEST_SUITE_P(SimFastPath, GemmOverlapDiff,
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Values(16, 32)));
+
+TEST(SimFastPath, MatmulSourceOverlappingThreadsMatchesReference) {
+  std::ifstream f(HLSPROF_EXAMPLES_DIR "/kernels/matmul.c");
+  ASSERT_TRUE(f.good());
+  std::ostringstream src;
+  src << f.rdbuf();
+  for (const int dim : {16, 24, 32}) {
+    SCOPED_TRACE("DIM " + std::to_string(dim));
+    frontend::LowerOptions lo;
+    lo.constants["DIM"] = dim;
+    const std::int64_t nn = std::int64_t(dim) * dim;
+    expect_modes_identical(
+        frontend::compile_source(src.str(), lo),
+        [&](sim::Simulator& s, HostBufs& h) {
+          s.bind_f32("A", h.in(workloads::random_matrix(dim, 31)));
+          s.bind_f32("B", h.in(workloads::random_matrix(dim, 32)));
+          s.bind_f32("C", h.out(std::vector<float>(std::size_t(nn), 0.0f)));
+          s.set_arg("DIM", std::int64_t(dim));
+        },
+        overlapping_params());
+  }
+}
 
 // ---- Fast path actually engages -------------------------------------------
 
